@@ -16,7 +16,7 @@ use crate::stats;
 use crate::workload::{OpKind, Plan, Workload};
 
 /// Set-ups per run; `setup_s` is their median.
-pub const SETUP_REPEATS: usize = 5;
+pub const SETUP_REPEATS: usize = 9;
 /// Client connections of `http_warm` (one per core of the reference VM).
 pub const HTTP_CONNECTIONS: usize = 2;
 /// Server worker threads of `http_warm`.

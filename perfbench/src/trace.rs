@@ -10,11 +10,15 @@
 //! roots. The replay keeps its own prepared bodies (the engine's
 //! preparation-seed derivation is private), so its sampler bits differ from
 //! the engine's; answers and their checks come from the untraced phase.
+//! `trace.overhead_pct` therefore compares each plan op's traced call (its
+//! `core.*` root in process, its `http` root over HTTP) with the same op's
+//! untraced latency, not the replay.
 //!
 //! A layer that a workload's plan does not reach is still timed on that
 //! workload's catalog by a short probe (e.g. a loopback server for the
-//! in-process workloads), so every traced run reports every metric; the
-//! benchmark README maps each metric to the workload it is meant for.
+//! in-process workloads), because every traced run must print every
+//! per-layer metric; the benchmark README maps each metric to the workload
+//! it is meant for.
 
 use std::collections::HashMap;
 use std::io::Write as _;
@@ -430,24 +434,27 @@ fn http_ops(
             }
             let (path, body) = engine::http_request(plan, i);
             let id = op_ids(i);
-            tracer.span("op", id, None, |root| {
-                let text = tracer.span("server.json_render", id, Some(root), |_| body.render());
+            // The codec's render on its own: the client renders the body
+            // again inside the round trip, so the `http` root below does the
+            // same work as an untraced op.
+            let text = tracer.span("server.json_render", id, None, |_| body.render());
+            let response = tracer.span("http", id, None, |root| {
                 let response = tracer.span("server.roundtrip", id, Some(root), |_| {
                     client.request("POST", path, Some(&body))
                 });
                 let response = response.map_err(|e| e.to_string())?;
-                let parsed = tracer.span("server.json_parse", id, Some(root), |_| {
-                    parse(&response.body, DEFAULT_MAX_DEPTH)
-                });
-                parsed.map_err(|e| e.to_string())?;
                 if response.status != 200 {
                     return Err(format!("{path} answered {}", response.status));
                 }
-                let mut totals = totals.lock().expect("no client thread panics");
-                totals.0 += 1;
-                totals.1 += (text.len() + response.body.len()) as u64;
-                Ok(())
+                let parsed = tracer.span("server.json_parse", id, Some(root), |_| {
+                    parse(&response.body, DEFAULT_MAX_DEPTH)
+                });
+                engine::decode_json(plan.ops[i].kind, &parsed.map_err(|e| e.to_string())?)?;
+                Ok(response)
             })?;
+            let mut totals = totals.lock().expect("no client thread panics");
+            totals.0 += 1;
+            totals.1 += (text.len() + response.body.len()) as u64;
         }
     };
     std::thread::scope(|scope| {
@@ -589,15 +596,34 @@ pub fn traced_run(prepared: &Prepared, measured: &Measured) -> Result<Vec<Metric
     drop(replay);
     let spans = tracer.into_spans();
     write_spans(plan, &spans);
+    let http = matches!(prepared.target, Target::Http(_));
     Ok(metrics(
         &spans,
         &counts,
         measured,
         handler_us.unwrap_or(0.0),
+        http,
     ))
 }
 
-fn metrics(spans: &[Span], c: &Counts, measured: &Measured, handler_us: f64) -> Vec<Metric> {
+/// Whether `span` is the traced form of a plan op's untraced call: the
+/// `core.*` engine call in process, the whole exchange (`http`) over HTTP.
+fn times_plan_call(span: &Span, http: bool) -> bool {
+    let call = if http {
+        span.name == "http"
+    } else {
+        span.name.starts_with("core.")
+    };
+    call && span.parent.is_none() && span.op != NO_OP
+}
+
+fn metrics(
+    spans: &[Span],
+    c: &Counts,
+    measured: &Measured,
+    handler_us: f64,
+    http: bool,
+) -> Vec<Metric> {
     let covered = covered_nanos(spans);
     let mean = |name: &str, scale: f64| {
         let ds: Vec<f64> = spans
@@ -614,14 +640,18 @@ fn metrics(spans: &[Span], c: &Counts, measured: &Measured, handler_us: f64) -> 
         .filter(|(s, _)| s.name == "sampler.fanout")
         .map(|(s, c)| (s.nanos() - c) as f64 / us)
         .collect();
-    // Coverage and overhead over the plan's own op roots.
+    // Coverage over the plan's layer decompositions; overhead compares each
+    // plan op's traced call with the same op's untraced latency.
     let mut op_nanos = 0u64;
     let mut op_covered = 0u64;
-    let mut untraced = 0u128;
+    let (mut traced, mut untraced) = (0u128, 0u128);
     for (s, c) in spans.iter().zip(&covered) {
-        if s.name == "op" && s.parent.is_none() && s.op != NO_OP {
+        if matches!(s.name, "op" | "http") && s.parent.is_none() && s.op != NO_OP {
             op_nanos += s.nanos();
             op_covered += c;
+        }
+        if times_plan_call(s, http) {
+            traced += u128::from(s.nanos());
             untraced += measured.latencies[s.op].as_nanos();
         }
     }
@@ -720,7 +750,7 @@ fn metrics(spans: &[Span], c: &Counts, measured: &Measured, handler_us: f64) -> 
         ),
         (
             "trace.overhead_pct",
-            100.0 * (ratio(op_nanos as f64, untraced as f64) - 1.0),
+            100.0 * (ratio(traced as f64, untraced as f64) - 1.0),
             "%",
         ),
     ]

@@ -13,7 +13,7 @@ use rand::Rng;
 
 use cdb_constraint::{parse_formula, Formula, GeneralizedRelation, GeneralizedTuple};
 use cdb_sampler::{GeneratorParams, SeedSequence, DEFAULT_PREPARED_STORE_CAPACITY};
-use cdb_workloads::sessions::{polytope_soup, SoupSpec};
+use cdb_workloads::sessions::{polytope_soup, SessionMix, SoupSpec};
 
 /// Points drawn by one sample-batch op.
 pub const BATCH_N: usize = 16;
@@ -59,9 +59,9 @@ impl Workload {
     /// sized so the measured phase lasts about `seconds` on a 2-core VM.
     fn ops_per_second(self) -> usize {
         match self {
-            Workload::WarmInproc | Workload::HttpWarm => 6_000,
-            Workload::ChurnInproc => 180,
-            Workload::Recon2d => 6,
+            Workload::WarmInproc | Workload::HttpWarm => 4_500,
+            Workload::ChurnInproc => 250,
+            Workload::Recon2d => 5,
         }
     }
 
@@ -164,8 +164,12 @@ const WARM_NAMES: usize = 32;
 const WARM_POOL: usize = 16;
 /// Churn catalog: four times the default store capacity, all distinct.
 const CHURN_NAMES: usize = 256;
-/// Zipf exponent of churn reads and writes.
-const CHURN_ZIPF: f64 = 1.0;
+/// Share of churn ops that are writes: the 95/5 read/update split of YCSB
+/// workload B ("read mostly"; Cooper et al., *Benchmarking Cloud Serving
+/// Systems with YCSB*, SoCC 2010).
+const CHURN_WRITE_SHARE: f64 = 0.05;
+/// Zipf exponent of churn reads: YCSB's default zipfian constant.
+const CHURN_ZIPF: f64 = 0.99;
 /// Generator `eps` of `recon_2d`: the Lemma 4.1 sample size for a 2-ary
 /// output at `(0.875, 0.1)` is 252 points per piece.
 const RECON_EPS: f64 = 0.875;
@@ -183,15 +187,27 @@ fn shuffled_kinds(counts: &[(OpKind, usize)], rng: &mut StdRng) -> Vec<OpKind> {
     kinds
 }
 
-/// Splits `total` ops by per-mille shares; the first kind takes the rest.
-fn exact_mix(total: usize, shares: &[(OpKind, usize)]) -> Vec<(OpKind, usize)> {
-    let mut counts: Vec<(OpKind, usize)> = shares
+/// Splits `total` ops by relative weights; the first kind takes the rest.
+fn exact_mix(total: usize, weights: &[(OpKind, f64)]) -> Vec<(OpKind, usize)> {
+    let sum: f64 = weights.iter().map(|w| w.1).sum();
+    let mut counts: Vec<(OpKind, usize)> = weights
         .iter()
-        .map(|&(k, permille)| (k, total * permille / 1000))
+        .map(|&(k, w)| (k, (total as f64 * w / sum) as usize))
         .collect();
     let assigned: usize = counts[1..].iter().map(|c| c.1).sum();
     counts[0].1 = total - assigned;
     counts
+}
+
+/// The read classes weighted by a repository session blend. The blend's
+/// reconstruction weight goes to sample-batch(16): these workloads leave
+/// the hull out by design, and the batch is the other multi-result read.
+fn read_weights(mix: SessionMix, scale: f64) -> [(OpKind, f64); 3] {
+    [
+        (OpKind::Sample, scale * mix.sample),
+        (OpKind::Batch, scale * mix.reconstruction),
+        (OpKind::Volume, scale * mix.volume),
+    ]
 }
 
 /// Cumulative Zipf weights over `n` ranks.
@@ -242,22 +258,27 @@ fn soup_bodies(names: usize, pool: usize, rng: &mut StdRng) -> (Vec<Body>, Vec<u
     (bodies, soup.pool_index)
 }
 
-/// Shape `(dimension, pieces, weight)` of each `recon_2d` relation; a
-/// relation receives `weight` tenths of the ops. One-box 3-D bodies take
-/// 60% of the ops, two-box 3-D bodies 20% and the single 4-D body 20%, so
-/// p50 lies inside the first group and p90 inside the 4-D body's ops for
-/// every seed.
-const RECON_SHAPES: [(usize, usize, usize); 9] = [
-    (3, 1, 1),
-    (3, 1, 1),
-    (3, 1, 1),
-    (3, 1, 1),
-    (3, 1, 1),
-    (3, 1, 1),
-    (3, 2, 1),
-    (3, 2, 1),
-    (4, 1, 2),
+/// Shape `(dimension, pieces)` of each `recon_2d` body: six one-box 3-D
+/// bodies, two two-box 3-D bodies and one one-box 4-D body.
+const RECON_SHAPES: [(usize, usize); 9] = [
+    (3, 1),
+    (3, 1),
+    (3, 1),
+    (3, 1),
+    (3, 1),
+    (3, 1),
+    (3, 2),
+    (3, 2),
+    (4, 1),
 ];
+
+/// The body behind each `recon_2d` name. Targets are picked uniformly over
+/// the names, as `cdb_bench::load` picks them, and, as in the session soups,
+/// names share content: the 4-D body backs two names. The one-box 3-D
+/// bodies thus take 60% of the ops, the two-box ones 20% and the 4-D body
+/// 20%, so p50 lies inside the first group and p90 in the middle of one
+/// body's ops rather than at the edge between two bodies of different cost.
+const RECON_NAME_BODIES: [usize; 10] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 8];
 
 /// A coordinate in `[lo, hi)` on the 1/16 grid: small rationals keep the
 /// symbolic (Fourier–Motzkin) answers well scaled.
@@ -287,14 +308,7 @@ impl Plan {
         let (names, mut bodies, initial, warm, ops) = match workload {
             Workload::WarmInproc | Workload::HttpWarm => {
                 let (bodies, initial) = soup_bodies(WARM_NAMES, WARM_POOL, &mut content_rng);
-                let mix = exact_mix(
-                    ops,
-                    &[
-                        (OpKind::Sample, 800),
-                        (OpKind::Batch, 50),
-                        (OpKind::Volume, 150),
-                    ],
-                );
+                let mix = exact_mix(ops, &read_weights(SessionMix::read_heavy(), 1.0));
                 let ops = shuffled_kinds(&mix, &mut plan_rng)
                     .into_iter()
                     .map(|kind| {
@@ -310,15 +324,10 @@ impl Plan {
             }
             Workload::ChurnInproc => {
                 let (bodies, initial) = soup_bodies(CHURN_NAMES, CHURN_NAMES, &mut content_rng);
-                let mix = exact_mix(
-                    ops,
-                    &[
-                        (OpKind::Volume, 700),
-                        (OpKind::Sample, 200),
-                        (OpKind::Batch, 60),
-                        (OpKind::Insert, 40),
-                    ],
-                );
+                let [sample, batch, volume] =
+                    read_weights(SessionMix::read_heavy(), 1.0 - CHURN_WRITE_SHARE);
+                let updates = (OpKind::Insert, CHURN_WRITE_SHARE);
+                let mix = exact_mix(ops, &[sample, batch, volume, updates]);
                 let kinds = shuffled_kinds(&mix, &mut plan_rng);
                 let writes = kinds.iter().filter(|k| **k == OpKind::Insert).count();
                 let (mut fresh, _) = soup_bodies(writes.max(1), writes.max(1), &mut content_rng);
@@ -361,20 +370,16 @@ impl Plan {
             }
             Workload::Recon2d => {
                 params.eps = RECON_EPS;
-                let relations = RECON_SHAPES.len();
+                let relations = RECON_NAME_BODIES.len();
                 let bodies: Vec<Body> = RECON_SHAPES
                     .iter()
-                    .map(|&(dim, pieces, _)| Body {
+                    .map(|&(dim, pieces)| Body {
                         relation: recon_body(dim, pieces, &mut content_rng),
                         volume: 0.0,
                     })
                     .collect();
-                let slots: Vec<usize> = RECON_SHAPES
-                    .iter()
-                    .enumerate()
-                    .flat_map(|(rel, &(_, _, weight))| std::iter::repeat_n(rel, weight))
-                    .collect();
-                let mut rels: Vec<usize> = (0..ops).map(|i| slots[i % slots.len()]).collect();
+                // Every relation receives the same number of ops (±1).
+                let mut rels: Vec<usize> = (0..ops).map(|i| i % relations).collect();
                 for i in (1..rels.len()).rev() {
                     rels.swap(i, plan_rng.gen_range(0..=i));
                 }
@@ -383,10 +388,11 @@ impl Plan {
                     .map(|rel| Op {
                         kind: OpKind::Reconstruct,
                         rel,
-                        body: rel,
+                        body: RECON_NAME_BODIES[rel],
                     })
                     .collect();
-                (relations, bodies, (0..relations).collect(), Vec::new(), ops)
+                let initial = RECON_NAME_BODIES.to_vec();
+                (relations, bodies, initial, Vec::new(), ops)
             }
         };
         let names: Vec<String> = (0..names).map(|i| format!("R{i}")).collect();
