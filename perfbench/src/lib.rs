@@ -57,10 +57,10 @@ fn digest_answers(answers: &[Result<engine::Answer, String>]) -> u64 {
     h
 }
 
-/// Runs `workload` with `ops` ops from `seed`: repeated set-up, the
-/// measured phase over `connections` HTTP connections (in-process
-/// workloads use one client thread), verification and, with `trace`, the
-/// traced replay.
+/// Runs `workload` with `ops` ops from `seed`: set-up, the measured phase
+/// over `connections` HTTP connections (in-process workloads use one client
+/// thread) with the repeated set-ups between its slices, verification and,
+/// with `trace`, the traced replay.
 pub fn run_workload(
     workload: Workload,
     seed: u64,
@@ -68,8 +68,7 @@ pub fn run_workload(
     trace: bool,
     connections: usize,
 ) -> Result<Report, String> {
-    let (mut prepared, setup_s) = run::setup_repeated(workload, seed, ops)?;
-    let measured = run::measure(&mut prepared, connections)?;
+    let (prepared, measured, setup_s) = run::setup_and_measure(workload, seed, ops, connections)?;
     let verdict = run::verify(&prepared, &measured);
     let end_to_end = run::end_to_end(&measured, &verdict, setup_s);
     let mut notes = vec![format!(

@@ -15,7 +15,8 @@ use crate::engine::{self, Answer, ExactAnswer};
 use crate::stats;
 use crate::workload::{OpKind, Plan, Workload};
 
-/// Set-ups per run; `setup_s` is their median.
+/// Set-ups per run, and slices of the measured phase; `setup_s` is the
+/// median set-up time.
 pub const SETUP_REPEATS: usize = 9;
 /// Client connections of `http_warm` (one per core of the reference VM).
 pub const HTTP_CONNECTIONS: usize = 2;
@@ -117,23 +118,35 @@ pub fn setup(workload: Workload, seed: u64, ops: usize) -> Result<Prepared, Stri
     })
 }
 
-/// Runs [`setup`] [`SETUP_REPEATS`] times and keeps the last; returns it
-/// with the median set-up time in seconds.
-pub fn setup_repeated(
+/// Times one [`setup`]; returns it with its wall time in seconds.
+fn timed_setup(workload: Workload, seed: u64, ops: usize) -> Result<(Prepared, f64), String> {
+    let started = Instant::now();
+    let prepared = setup(workload, seed, ops)?;
+    Ok((prepared, started.elapsed().as_secs_f64()))
+}
+
+/// Sets the workload up and measures its plan, timing [`SETUP_REPEATS`]
+/// set-ups in all: the first builds the measured target, and the others
+/// run between the slices of the measured phase and are dropped. So
+/// `setup_s`, their median, samples the machine's speed across the whole
+/// run, as the latency figures do, rather than over its first second.
+/// Returns the set-up, the measured phase and `setup_s`.
+pub fn setup_and_measure(
     workload: Workload,
     seed: u64,
     ops: usize,
-) -> Result<(Prepared, f64), String> {
-    let mut times = Vec::with_capacity(SETUP_REPEATS);
-    let mut last = None;
-    for _ in 0..SETUP_REPEATS {
-        // Drop (and shut down) the previous set-up before timing the next.
-        drop(last.take());
-        let started = Instant::now();
-        last = Some(setup(workload, seed, ops)?);
-        times.push(started.elapsed().as_secs_f64());
-    }
-    Ok((last.expect("at least one set-up"), stats::median(&times)))
+    connections: usize,
+) -> Result<(Prepared, Measured, f64), String> {
+    let (mut prepared, first) = timed_setup(workload, seed, ops)?;
+    let mut times = vec![first];
+    let measured = measure(&mut prepared, connections, SETUP_REPEATS, || {
+        let (extra, seconds) = timed_setup(workload, seed, ops)?;
+        // Drop (and shut down) the extra set-up before the next slice.
+        drop(extra);
+        times.push(seconds);
+        Ok(())
+    })?;
+    Ok((prepared, measured, stats::median(&times)))
 }
 
 /// Hit/miss/eviction counters of the engine's prepared store.
@@ -196,81 +209,90 @@ pub struct Measured {
     pub latencies: Vec<Duration>,
     /// Answer of op `i`.
     pub answers: Vec<Result<Answer, String>>,
-    /// Wall time of the whole phase.
+    /// Wall time of the phase (the sum over its slices).
     pub wall: Duration,
     /// Store counter deltas over the phase.
     pub store: StoreCounts,
 }
 
+/// The store counters of the target's engine.
+fn store_counts(target: &Target) -> Result<StoreCounts, String> {
+    match target {
+        Target::InProcess(db) => Ok(StoreCounts::of(db.store_stats())),
+        Target::Http(server) => server_store(server.addr()),
+    }
+}
+
 /// Runs every op of the plan once, closed loop: one client thread in
-/// process, `connections` keep-alive connections over HTTP.
-pub fn measure(prepared: &mut Prepared, connections: usize) -> Result<Measured, String> {
+/// process, `connections` keep-alive connections over HTTP. The plan runs
+/// in `slices` consecutive slices with `between` called between each two;
+/// the time spent in `between` counts in neither latency nor wall time.
+pub fn measure(
+    prepared: &mut Prepared,
+    connections: usize,
+    slices: usize,
+    mut between: impl FnMut() -> Result<(), String>,
+) -> Result<Measured, String> {
     let plan = &prepared.plan;
     let n = plan.ops.len();
-    match &mut prepared.target {
-        Target::InProcess(db) => {
-            let before = StoreCounts::of(db.store_stats());
-            let mut latencies = Vec::with_capacity(n);
-            let mut answers = Vec::with_capacity(n);
-            let started = Instant::now();
-            for i in 0..n {
-                let t = Instant::now();
-                let answer = engine::run_inproc(db, plan, i);
-                latencies.push(t.elapsed());
-                answers.push(answer);
-            }
-            let wall = started.elapsed();
-            let store = StoreCounts::of(db.store_stats()).minus(before);
-            Ok(Measured {
-                latencies,
-                answers,
-                wall,
-                store,
-            })
+    let slices = slices.clamp(1, n.max(1));
+    let before = store_counts(&prepared.target)?;
+    let mut slots: Vec<Option<TimedAnswer>> = (0..n).map(|_| None).collect();
+    let mut wall = Duration::ZERO;
+    for k in 0..slices {
+        if k > 0 {
+            between()?;
         }
-        Target::Http(server) => {
-            let addr = server.addr();
-            let before = server_store(addr)?;
-            let next = AtomicUsize::new(0);
-            let slots: Mutex<Vec<Option<TimedAnswer>>> = Mutex::new((0..n).map(|_| None).collect());
-            let started = Instant::now();
-            std::thread::scope(|scope| {
-                for _ in 0..connections.max(1) {
-                    scope.spawn(|| {
-                        let mut client = Client::new(addr);
-                        let mut done = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            let t = Instant::now();
-                            let answer = engine::run_http(&mut client, plan, i);
-                            done.push((i, t.elapsed(), answer));
-                        }
-                        let mut slots = slots.lock().expect("no client thread panics");
-                        for (i, latency, answer) in done {
-                            slots[i] = Some((latency, answer));
-                        }
-                    });
+        let slice = k * n / slices..(k + 1) * n / slices;
+        let started = Instant::now();
+        match &mut prepared.target {
+            Target::InProcess(db) => {
+                for i in slice {
+                    let t = Instant::now();
+                    let answer = engine::run_inproc(db, plan, i);
+                    slots[i] = Some((t.elapsed(), answer));
                 }
-            });
-            let wall = started.elapsed();
-            let store = server_store(addr)?.minus(before);
-            let (latencies, answers) = slots
-                .into_inner()
-                .expect("no client thread panics")
-                .into_iter()
-                .map(|slot| slot.expect("every op ran"))
-                .unzip();
-            Ok(Measured {
-                latencies,
-                answers,
-                wall,
-                store,
-            })
+            }
+            Target::Http(server) => {
+                let addr = server.addr();
+                let next = AtomicUsize::new(slice.start);
+                let shared = Mutex::new(&mut slots);
+                std::thread::scope(|scope| {
+                    for _ in 0..connections.max(1) {
+                        scope.spawn(|| {
+                            let mut client = Client::new(addr);
+                            let mut done = Vec::new();
+                            loop {
+                                let i = next.fetch_add(1, Ordering::Relaxed);
+                                if i >= slice.end {
+                                    break;
+                                }
+                                let t = Instant::now();
+                                let answer = engine::run_http(&mut client, plan, i);
+                                done.push((i, t.elapsed(), answer));
+                            }
+                            let mut slots = shared.lock().expect("no client thread panics");
+                            for (i, latency, answer) in done {
+                                slots[i] = Some((latency, answer));
+                            }
+                        });
+                    }
+                });
+            }
         }
+        wall += started.elapsed();
     }
+    let store = store_counts(&prepared.target)?.minus(before);
+    let (latencies, answers) = slots
+        .into_iter()
+        .map(|slot| slot.expect("every op ran"))
+        .unzip();
+    Ok(Measured {
+        latencies,
+        answers,
+        wall,
+        store,
+    })
 }
 
 /// The verdict on a measured phase's answers.

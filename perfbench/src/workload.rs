@@ -258,27 +258,19 @@ fn soup_bodies(names: usize, pool: usize, rng: &mut StdRng) -> (Vec<Body>, Vec<u
     (bodies, soup.pool_index)
 }
 
-/// Shape `(dimension, pieces)` of each `recon_2d` body: six one-box 3-D
-/// bodies, two two-box 3-D bodies and one one-box 4-D body.
-const RECON_SHAPES: [(usize, usize); 9] = [
-    (3, 1),
-    (3, 1),
-    (3, 1),
-    (3, 1),
-    (3, 1),
-    (3, 1),
-    (3, 2),
-    (3, 2),
-    (4, 1),
-];
+/// Shape `(dimension, pieces)` of each `recon_2d` body: two one-box 3-D
+/// bodies, three two-box 3-D bodies and one one-box 4-D body, in rising
+/// query cost.
+const RECON_SHAPES: [(usize, usize); 6] = [(3, 1), (3, 1), (3, 2), (3, 2), (3, 2), (4, 1)];
 
 /// The body behind each `recon_2d` name. Targets are picked uniformly over
 /// the names, as `cdb_bench::load` picks them, and, as in the session soups,
-/// names share content: the 4-D body backs two names. The one-box 3-D
-/// bodies thus take 60% of the ops, the two-box ones 20% and the 4-D body
-/// 20%, so p50 lies inside the first group and p90 in the middle of one
-/// body's ops rather than at the edge between two bodies of different cost.
-const RECON_NAME_BODIES: [usize; 10] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 8];
+/// names share content: each two-box body and the 4-D body back two names.
+/// The one-box bodies thus take 20% of the ops, the two-box ones 60% and
+/// the 4-D body 20%, so p50 lies in the middle of the two-box ops and p90
+/// among the 4-D body's ops, not at the edge between two groups of
+/// different cost.
+const RECON_NAME_BODIES: [usize; 10] = [0, 1, 2, 2, 3, 3, 4, 4, 5, 5];
 
 /// A coordinate in `[lo, hi)` on the 1/16 grid: small rationals keep the
 /// symbolic (Fourier–Motzkin) answers well scaled.
