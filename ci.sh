@@ -139,12 +139,16 @@ stage_end
 stage_begin resilience
 echo "==> resilience suite (budgets, cancellation, fault injection, panic containment)"
 # Quick mode runs the same faults against smaller batches and fewer thread
-# counts (tests/resilience.rs reads CDB_RESILIENCE_QUICK).
-if [ "$QUICK" = "1" ]; then
-  CDB_RESILIENCE_QUICK=1 cargo test -q --test resilience
-else
-  cargo test -q --test resilience
-fi
+# counts (tests/resilience.rs reads CDB_RESILIENCE_QUICK). The suite runs five
+# times under the default parallel test runner: fault plans are scoped to
+# their database, so no interleaving of the tests may fail them.
+for run in 1 2 3 4 5; do
+  if [ "$QUICK" = "1" ]; then
+    CDB_RESILIENCE_QUICK=1 cargo test -q --test resilience
+  else
+    cargo test -q --test resilience
+  fi
+done
 stage_end
 
 stage_begin server
@@ -192,6 +196,15 @@ if [ "$QUICK" = "1" ]; then
 else
   cargo test -q --test load
 fi
+stage_end
+
+stage_begin perfbench
+echo "==> perfbench (release build against the workspace crates + self-tests)"
+# The benchmark is a package of its own that builds against the workspace's
+# public APIs by path: building it here turns an API it uses that went
+# missing into a CI failure rather than a failed benchmark run.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
 stage_end
 
 if [ "$QUICK" != "1" ]; then

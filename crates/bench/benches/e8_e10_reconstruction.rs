@@ -5,7 +5,7 @@
 
 use cdb_bench::{experiment_criterion, rng};
 use cdb_constraint::{parse_formula, GeneralizedRelation, GeneralizedTuple};
-use cdb_core::SpatialDatabase;
+use cdb_core::{QuerySpec, SpatialDatabase};
 use cdb_geometry::volume::{polytope_volume, symmetric_difference_volume, union_volume};
 use cdb_reconstruct::ConvexReconstructor;
 use cdb_sampler::GeneratorParams;
@@ -57,9 +57,13 @@ fn e10_positive_queries(c: &mut Criterion) {
     let exact = db.evaluate_exact(&query, 2).expect("symbolic evaluation");
     let exact_volume = union_volume(&exact.to_polytopes());
     let mut r = rng(1000);
-    let approx = db
-        .approx_query(&query, 2, &mut r)
+    let spec = QuerySpec::reconstruct("query", query.clone(), 2);
+    let outcome = db
+        .query_with_rng(&spec, &mut r)
         .expect("reconstruction succeeds");
+    let approx = outcome
+        .relation()
+        .expect("a reconstruction holds a relation");
     let sd = symmetric_difference_volume(&exact.to_polytopes(), &approx.to_polytopes());
     eprintln!(
         "[E10] section 4.3.2 query: exact_volume={exact_volume:.4} pieces_exact={} pieces_approx={} \
@@ -73,7 +77,7 @@ fn e10_positive_queries(c: &mut Criterion) {
         b.iter(|| black_box(db.evaluate_exact(&query, 2)))
     });
     group.bench_function("sampling_reconstruction", |b| {
-        b.iter(|| black_box(db.approx_query(&query, 2, &mut r)))
+        b.iter(|| black_box(db.query_with_rng(&spec, &mut r)))
     });
     group.finish();
 }

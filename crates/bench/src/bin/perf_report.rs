@@ -26,7 +26,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cdb_constraint::{Atom, GeneralizedRelation, GeneralizedTuple};
-use cdb_core::SpatialDatabase;
+use cdb_core::{QuerySpec, SpatialDatabase};
 use cdb_geometry::{Ellipsoid, HPolytope};
 use cdb_linalg::Vector;
 use cdb_sampler::{
@@ -230,13 +230,14 @@ fn main() {
         }
     }
 
-    // e_shared: end-to-end `SpatialDatabase::approx_generate` latency while
-    // cycling six relation names that map two-to-one onto three shared
-    // contents — the prepared-relation store workload. The warm row uses the
-    // default store (after the first pass every query re-attaches a cached
-    // prepared body); the cold row disables the store (capacity 0), so every
-    // query pays full canonicalization + rounding + preparation. The ratio
-    // between the two rows is the store's headline speedup.
+    // e_shared: end-to-end one-point `SpatialDatabase::query_with_rng`
+    // latency while cycling six relation names that map two-to-one onto
+    // three shared contents — the prepared-relation store workload. The warm
+    // row uses the default store (after the first pass every query
+    // re-attaches a cached prepared body); the cold row disables the store
+    // (capacity 0), so every query pays full canonicalization + rounding +
+    // preparation. The ratio between the two rows is the store's headline
+    // speedup.
     {
         let d = 2;
         let contents = [
@@ -264,7 +265,8 @@ fn main() {
                 || {
                     let name = &names[i % names.len()];
                     i += 1;
-                    std::hint::black_box(db.approx_generate(name, &mut rng).unwrap());
+                    let spec = QuerySpec::sample(name, 1);
+                    std::hint::black_box(db.query_with_rng(&spec, &mut rng).unwrap());
                 },
                 warmup,
                 window,

@@ -11,7 +11,7 @@
 //!    arrival process and hide itself (no coordinated omission).
 //! 2. [`run`] replays the schedule from N client threads over the timed
 //!    batch fan-out: each worker sleeps until a request's scheduled arrival,
-//!    issues it through the budgeted entry points, and the latency recorded
+//!    issues it as a budgeted query, and the latency recorded
 //!    is *completion − scheduled arrival* — queue wait included.
 //!
 //! **Determinism contract.** Request `i` draws its query randomness from
@@ -31,8 +31,8 @@ use std::time::{Duration, Instant};
 
 use rand::Rng;
 
-use cdb_constraint::{parse_formula, Formula};
-use cdb_core::{SpatialDatabase, SpatialDbError};
+use cdb_constraint::parse_formula;
+use cdb_core::{QuerySpec, SpatialDatabase, SpatialDbError};
 use cdb_sampler::batch::fan_out_contained_timed;
 use cdb_sampler::{BudgetTrip, QueryBudget, SeedSequence, WorkerPanic};
 use cdb_workloads::sessions::SessionMix;
@@ -40,11 +40,11 @@ use cdb_workloads::sessions::SessionMix;
 /// The query classes a session mixes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum QueryClass {
-    /// Draw one almost-uniform point (`approx_generate_budgeted`).
+    /// Draw one almost-uniform point (a budgeted one-item sample query).
     Sample,
-    /// Estimate the relation's volume (`approx_volume_budgeted`).
+    /// Estimate the relation's volume (a budgeted one-repeat volume query).
     Volume,
-    /// Reconstruct a projection of the relation (`approx_query`).
+    /// Reconstruct a projection of the relation (a reconstruction query).
     Reconstruction,
 }
 
@@ -100,8 +100,8 @@ pub struct LoadSpec {
     pub seed: u64,
     /// Read/volume/reconstruction blend.
     pub mix: SessionMix,
-    /// Budget applied to every sample/volume request. `approx_query` has no
-    /// budgeted variant yet, so reconstruction requests run unbudgeted —
+    /// Budget applied to every sample/volume request. Reconstruction has no
+    /// budgeted evaluation path yet, so reconstruction requests run unbudgeted —
     /// keep their weight low in mixes that include pathological relations.
     pub budget: QueryBudget,
     /// Per-relation budget overrides (e.g. a starved budget on one name),
@@ -370,6 +370,10 @@ fn reconstruction_text(relation: &str) -> String {
     format!("exists x1. {relation}(x0, x1)")
 }
 
+const POINT: &str = "a fail-fast sample query that returned Ok holds its point";
+const ESTIMATE: &str = "a fail-fast volume query that returned Ok holds its estimate";
+const RELATION: &str = "a reconstruction query that returned Ok holds its relation";
+
 /// Sleeps until request `i`'s scheduled arrival (open-loop pacing).
 fn pace(schedule: &Schedule, i: usize, epoch: Instant) {
     let arrival = schedule.requests[i].arrival();
@@ -387,14 +391,17 @@ pub fn run_over(transport: &Transport<'_>, spec: &LoadSpec, schedule: &Schedule)
     let epoch = Instant::now();
     let fan_out = match transport {
         Transport::InProcess(db) => {
-            let mut queries: BTreeMap<String, Formula> = BTreeMap::new();
+            let mut reconstructions: BTreeMap<String, QuerySpec> = BTreeMap::new();
             for req in &schedule.requests {
-                if req.class == QueryClass::Reconstruction && !queries.contains_key(&req.relation) {
+                if req.class == QueryClass::Reconstruction
+                    && !reconstructions.contains_key(&req.relation)
+                {
                     let text = reconstruction_text(&req.relation);
                     let formula = parse_formula(&text, 2).unwrap_or_else(|e| {
                         panic!("reconstruction query {text:?} does not parse: {e:?}")
                     });
-                    queries.insert(req.relation.clone(), formula);
+                    let spec = QuerySpec::reconstruct(&req.relation, formula, 1);
+                    reconstructions.insert(req.relation.clone(), spec);
                 }
             }
             fan_out_contained_timed(
@@ -403,6 +410,7 @@ pub fn run_over(transport: &Transport<'_>, spec: &LoadSpec, schedule: &Schedule)
                 epoch,
                 || (),
                 |_, i| {
+                    db.fault_plan().inject_worker_panic(i);
                     pace(schedule, i, epoch);
                     let req = &schedule.requests[i];
                     let budget = spec
@@ -412,25 +420,30 @@ pub fn run_over(transport: &Transport<'_>, spec: &LoadSpec, schedule: &Schedule)
                     let mut rng = seq.item_stream(i).rng();
                     match req.class {
                         QueryClass::Sample => db
-                            .approx_generate_budgeted(&req.relation, budget, &mut rng)
-                            .map(Payload::Point)
-                            .map_err(|e| LoadError::from(&e)),
+                            .query_with_rng(
+                                &QuerySpec::sample(&req.relation, 1).with_budget(budget),
+                                &mut rng,
+                            )
+                            .map(|o| Payload::Point(o.point().expect(POINT).to_vec())),
                         QueryClass::Volume => db
-                            .approx_volume_budgeted(&req.relation, budget, &mut rng)
-                            .map(Payload::Estimate)
-                            .map_err(|e| LoadError::from(&e)),
+                            .query_with_rng(
+                                &QuerySpec::volume(&req.relation, 1).with_budget(budget),
+                                &mut rng,
+                            )
+                            .map(|o| Payload::Estimate(o.volume().expect(ESTIMATE))),
                         QueryClass::Reconstruction => db
-                            .approx_query(&queries[&req.relation], 1, &mut rng)
-                            .map(|rel| {
+                            .query_with_rng(&reconstructions[&req.relation], &mut rng)
+                            .map(|o| {
+                                let rel = o.relation().expect(RELATION);
                                 let mut digest = FNV_OFFSET;
                                 fnv(&mut digest, format!("{rel:?}").as_bytes());
                                 Payload::Relation {
                                     tuples: rel.tuples().len(),
                                     digest,
                                 }
-                            })
-                            .map_err(|e| LoadError::from(&e)),
+                            }),
                     }
+                    .map_err(|e| LoadError::from(&e))
                 },
             )
         }

@@ -1,23 +1,26 @@
 //! High-level API for approximate query evaluation in spatial constraint
 //! databases — the user-facing surface of the reproduction.
 //!
-//! A [`SpatialDatabase`] owns a set of generalized relations and exposes the
-//! paper's three capabilities:
+//! A [`SpatialDatabase`] owns a set of generalized relations and answers
+//! every approximate query through one call, described by a [`QuerySpec`]:
 //!
-//! * [`SpatialDatabase::approx_generate`] — an almost-uniform sample from a
-//!   stored relation (Definition 2.2, built on Algorithm 1);
-//! * [`SpatialDatabase::approx_volume`] — an `(ε, δ)`-volume estimate
-//!   (Definition 2.1, Theorem 4.2);
-//! * [`SpatialDatabase::approx_query`] — an `(ε, δ)`-estimation of the result
-//!   *set* of a positive existential FO+LIN query (Theorem 4.4), returned as
-//!   a generalized relation built from convex hulls of samples;
-//! * [`SpatialDatabase::evaluate_exact`] — the fully symbolic baseline
-//!   (resolution + Fourier–Motzkin + DNF).
+//! * [`QuerySpec::sample`] — almost-uniform samples from a stored relation
+//!   (Definition 2.2, built on Algorithm 1);
+//! * [`QuerySpec::volume`] — an `(ε, δ)`-volume estimate (Definition 2.1,
+//!   Theorem 4.2);
+//! * [`QuerySpec::reconstruct`] — an `(ε, δ)`-estimation of the result *set*
+//!   of a positive existential FO+LIN query (Theorem 4.4), returned as a
+//!   generalized relation built from convex hulls of samples.
+//!
+//! [`SpatialDatabase::query`] funds a spec from its seed;
+//! [`SpatialDatabase::query_with_rng`] funds it from a caller-supplied RNG.
+//! [`SpatialDatabase::evaluate_exact`] is the fully symbolic baseline
+//! (resolution + Fourier–Motzkin + DNF).
 //!
 //! # Example
 //!
 //! ```
-//! use cdb_core::SpatialDatabase;
+//! use cdb_core::{QuerySpec, SpatialDatabase};
 //! use cdb_constraint::{parse_formula, GeneralizedRelation};
 //! use cdb_sampler::GeneratorParams;
 //! use rand::SeedableRng;
@@ -26,11 +29,11 @@
 //! db.insert("Zone", GeneralizedRelation::from_box_f64(&[0.0, 0.0], &[2.0, 1.0]));
 //!
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-//! let point = db.approx_generate("Zone", &mut rng).unwrap();
-//! assert!(db.relation("Zone").unwrap().contains_f64(&point));
+//! let sample = db.query_with_rng(&QuerySpec::sample("Zone", 1), &mut rng).unwrap();
+//! assert!(db.relation("Zone").unwrap().contains_f64(sample.point().unwrap()));
 //!
-//! let volume = db.approx_volume("Zone", &mut rng).unwrap();
-//! assert!((volume - 2.0).abs() < 0.8);
+//! let estimate = db.query_with_rng(&QuerySpec::volume("Zone", 1), &mut rng).unwrap();
+//! assert!((estimate.volume().unwrap() - 2.0).abs() < 0.8);
 //!
 //! let query = parse_formula("Zone(x0, x1) and x0 <= 1", 2).unwrap();
 //! let result = db.evaluate_exact(&query, 2).unwrap();
@@ -49,14 +52,12 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
 
-use rand::Rng;
-
 use cdb_constraint::canonical::CanonicalKey;
 use cdb_constraint::{ConstraintError, Database, Formula, GeneralizedRelation};
 use cdb_reconstruct::ReconstructionError;
 use cdb_sampler::compose::ObservabilityError;
 use cdb_sampler::{
-    BudgetTrip, GeneratorParams, PreparedStore, PreparedStoreStats, QueryBudget, RelationGenerator,
+    BudgetTrip, FaultPlan, GeneratorParams, PreparedStore, PreparedStoreStats, RelationGenerator,
     SeedSequence, UnionGenerator, WalkKind, DEFAULT_PREPARED_STORE_CAPACITY,
 };
 
@@ -108,7 +109,8 @@ pub enum SpatialDbError {
         /// The phase that failed.
         phase: QueryPhase,
     },
-    /// An installed [`QueryBudget`] tripped before the query finished.
+    /// An installed [`QueryBudget`](cdb_sampler::QueryBudget) tripped before
+    /// the query finished.
     BudgetExhausted {
         /// Name of the relation being queried.
         relation: String,
@@ -120,7 +122,7 @@ pub enum SpatialDbError {
     },
     /// A batch worker panicked; the panic was contained at the worker
     /// boundary and surviving workers completed (see
-    /// [`SpatialDatabase::approx_generate_batch_partial`]).
+    /// [`FailureMode::Partial`]).
     WorkerPanicked {
         /// Index of the panicking worker.
         worker: usize,
@@ -179,44 +181,6 @@ impl std::error::Error for SpatialDbError {
     }
 }
 
-/// Everything a `*_batch_partial` entry point produced before (and after)
-/// its first failure: partial results are first-class, not discarded.
-#[derive(Debug)]
-pub struct PartialBatch<T> {
-    /// Per-item outcomes, index-aligned with the batch seed streams. `None`
-    /// marks items whose draw failed or whose worker panicked.
-    pub results: Vec<Option<T>>,
-    /// Number of `Some` entries in `results`.
-    pub completed: usize,
-    /// The first failure encountered, if any (`None` means every item
-    /// completed).
-    pub error: Option<SpatialDbError>,
-}
-
-/// Maps a failed draw to the right error: a tripped budget is resource
-/// exhaustion ([`SpatialDbError::BudgetExhausted`]); no trip means the
-/// generator genuinely failed its δ-bounded attempt
-/// ([`SpatialDbError::GenerationFailed`]).
-fn draw_failure(
-    name: &str,
-    generator: &UnionGenerator,
-    phase: QueryPhase,
-    completed: usize,
-) -> SpatialDbError {
-    match generator.budget_trip() {
-        Some(cause) => SpatialDbError::BudgetExhausted {
-            relation: name.to_string(),
-            cause,
-            completed,
-        },
-        None => SpatialDbError::GenerationFailed {
-            relation: name.to_string(),
-            attempts: generator.budget_meter().attempts_used(),
-            phase,
-        },
-    }
-}
-
 /// SplitMix64 finalizer: decorrelates the key hash and the parameter
 /// fingerprint before they fund a preparation seed stream.
 fn mix(mut z: u64) -> u64 {
@@ -251,7 +215,7 @@ fn params_fingerprint(p: &GeneratorParams) -> u64 {
 ///
 /// # The prepared-relation store
 ///
-/// Every `approx_*` entry point routes through a keyed, concurrency-safe
+/// Every sample and volume query routes through a keyed, concurrency-safe
 /// [`PreparedStore`] mapping the *canonical form* of a stored relation's
 /// defining formula (see [`cdb_constraint::canonical`]) to its fully
 /// prepared generator body — certificates, pilot volume estimates, rounding
@@ -266,30 +230,22 @@ fn params_fingerprint(p: &GeneratorParams) -> u64 {
 pub struct SpatialDatabase {
     database: Database,
     params: GeneratorParams,
-    eps: f64,
-    delta: f64,
     /// Prepared generator bodies, keyed by canonical formula.
     store: PreparedStore<CanonicalKey, UnionGenerator>,
     /// Memo of name → canonical key (keys are content-derived, so this is
     /// pure caching; invalidated when a relation is replaced).
     keys: RwLock<HashMap<String, CanonicalKey>>,
-    /// Worker panics contained by the partial batch entry points; merged
-    /// into [`SpatialDatabase::store_stats`] as `panics_recovered`.
+    /// Worker panics contained by seeded batch queries; merged into
+    /// [`SpatialDatabase::store_stats`] as `panics_recovered`.
     contained_panics: AtomicU64,
+    /// Faults this database's queries inject (empty by default).
+    faults: FaultPlan,
 }
 
 impl SpatialDatabase {
     /// Creates an empty database with default generator parameters.
     pub fn new() -> Self {
-        SpatialDatabase {
-            database: Database::new(),
-            params: GeneratorParams::default(),
-            eps: 0.2,
-            delta: 0.1,
-            store: PreparedStore::new(DEFAULT_PREPARED_STORE_CAPACITY),
-            keys: RwLock::new(HashMap::new()),
-            contained_panics: AtomicU64::new(0),
-        }
+        SpatialDatabase::with_params(GeneratorParams::default())
     }
 
     /// Creates an empty database with explicit generator parameters.
@@ -297,21 +253,36 @@ impl SpatialDatabase {
         SpatialDatabase {
             database: Database::new(),
             params,
-            eps: params.eps,
-            delta: params.delta,
             store: PreparedStore::new(DEFAULT_PREPARED_STORE_CAPACITY),
             keys: RwLock::new(HashMap::new()),
             contained_panics: AtomicU64::new(0),
+            faults: FaultPlan::new(),
         }
     }
 
     /// Replaces the prepared-relation store with one of the given capacity.
     /// Capacity `0` disables caching entirely — every query prepares from
     /// scratch, which is bitwise identical to the cached paths and is the
-    /// baseline the determinism suite pins legacy behavior to.
+    /// baseline the determinism suite pins the cached paths to.
     pub fn with_store_capacity(mut self, capacity: usize) -> Self {
         self.store = PreparedStore::new(capacity);
         self
+    }
+
+    /// Replaces the [`FaultPlan`] this database's queries inject (the
+    /// resilience suite's harness). The plan applies to this database
+    /// only: a forced draw failure is checked before each draw, and a
+    /// worker panic fires inside seeded fan-out tasks. Pass
+    /// [`FaultPlan::new`] to disarm.
+    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
+        self.faults = plan;
+        self
+    }
+
+    /// The [`FaultPlan`] armed on this database, for harnesses that run
+    /// their own fan-out over its queries.
+    pub fn fault_plan(&self) -> &FaultPlan {
+        &self.faults
     }
 
     /// Inserts (or replaces) a relation. Replacing invalidates the name's
@@ -345,7 +316,7 @@ impl SpatialDatabase {
 
     /// Hit/miss/eviction counters of the prepared-relation store, with this
     /// database's containment counters merged in: `panics_recovered` counts
-    /// worker panics contained by the partial batch entry points and
+    /// worker panics contained by seeded batch queries and
     /// `shards_rebuilt` counts poisoned store shards that were discarded and
     /// rebuilt.
     pub fn store_stats(&self) -> PreparedStoreStats {
@@ -372,26 +343,44 @@ impl SpatialDatabase {
         key
     }
 
+    /// The stored relation of that name, or [`SpatialDbError::UnknownRelation`].
+    fn stored(&self, name: &str) -> Result<&GeneralizedRelation, SpatialDbError> {
+        self.database
+            .relation(name)
+            .ok_or_else(|| SpatialDbError::UnknownRelation(name.to_string()))
+    }
+
+    /// The seed sequence that funds the preparation of the body under `key`.
+    fn preparation_seed_of(&self, key: &CanonicalKey) -> SeedSequence {
+        SeedSequence::new(mix(key.hash64() ^ params_fingerprint(&self.params)))
+    }
+
+    /// The seed sequence that funds the named relation's preparation. It is
+    /// derived from the relation's canonical key and the parameter
+    /// fingerprint — never from a caller's stream — so a raw
+    /// [`UnionGenerator`] prepared from it is bitwise the body every query
+    /// on this relation attaches.
+    pub fn preparation_seed(&self, name: &str) -> Result<SeedSequence, SpatialDbError> {
+        let key = self.relation_key(name, self.stored(name)?);
+        Ok(self.preparation_seed_of(&key))
+    }
+
     /// Builds (or fetches) the prepared generator body for the named
     /// relation and attaches a private copy for this query.
     ///
-    /// The preparation seed is derived from the canonical key and the
-    /// parameter fingerprint — never from the caller's stream — so the body
-    /// is a pure function of (relation content, parameters). That is the
-    /// whole invisibility argument: a cold build, a warm hit, a racing
-    /// rebuild and the disabled-store path all produce bitwise identical
-    /// bodies, and the caller's randomness funds only the sampling itself.
+    /// The body is a pure function of (relation content, parameters) — see
+    /// [`SpatialDatabase::preparation_seed`]. That is the whole invisibility
+    /// argument: a cold build, a warm hit, a racing rebuild and the
+    /// disabled-store path all produce bitwise identical bodies, and the
+    /// caller's randomness funds only the sampling itself.
     fn prepared_generator(&self, name: &str) -> Result<UnionGenerator, SpatialDbError> {
-        let relation = self
-            .database
-            .relation(name)
-            .ok_or_else(|| SpatialDbError::UnknownRelation(name.to_string()))?;
+        let relation = self.stored(name)?;
         let key = self.relation_key(name, relation);
-        let prep_seed = mix(key.hash64() ^ params_fingerprint(&self.params));
+        let prep = self.preparation_seed_of(&key);
         let params = self.params;
         let body = self.store.get_or_try_prepare(&key, || {
             let mut generator = UnionGenerator::new(relation, params)?;
-            generator.prepare(&SeedSequence::new(prep_seed));
+            generator.prepare(&prep);
             Ok(generator)
         });
         // Copy-on-attach: the stored body stays immutable; this query gets
@@ -401,205 +390,6 @@ impl SpatialDatabase {
             source,
         })?)
         .clone())
-    }
-
-    /// Draws one almost-uniform point from the named relation.
-    ///
-    /// Thin wrapper over [`SpatialDatabase::query_with_rng`] with
-    /// [`QueryKind::Sample`]`{ n: 1 }`.
-    pub fn approx_generate<R: Rng + ?Sized>(
-        &self,
-        name: &str,
-        rng: &mut R,
-    ) -> Result<Vec<f64>, SpatialDbError> {
-        self.approx_generate_budgeted(name, &QueryBudget::unlimited(), rng)
-    }
-
-    /// [`SpatialDatabase::approx_generate`] under an explicit
-    /// [`QueryBudget`]: the walk and retry loops check the budget's
-    /// deterministic counters at chunk boundaries and its advisory deadline
-    /// and cancellation token at the same points. A tripped budget surfaces
-    /// as [`SpatialDbError::BudgetExhausted`] naming the cause; an
-    /// un-tripped failure stays [`SpatialDbError::GenerationFailed`].
-    pub fn approx_generate_budgeted<R: Rng + ?Sized>(
-        &self,
-        name: &str,
-        budget: &QueryBudget,
-        rng: &mut R,
-    ) -> Result<Vec<f64>, SpatialDbError> {
-        let spec = QuerySpec::sample(name, 1).with_budget(budget);
-        let outcome = self.query_with_rng(&spec, rng)?;
-        Ok(outcome
-            .into_points_batch()
-            .results
-            .into_iter()
-            .flatten()
-            .next()
-            .expect("a fail-fast sample query that returned Ok holds its point"))
-    }
-
-    /// Draws `n` almost-uniform points from the named relation.
-    ///
-    /// **Skip semantics.** Failed draws are silently dropped: the returned
-    /// vector can be shorter than `n`, and callers cannot tell *which*
-    /// draws failed. This is the right shape for statistical consumers
-    /// (histograms, hull reconstruction) where only the collected sample
-    /// matters; callers that must distinguish 100-requested/97-returned use
-    /// [`SpatialDatabase::query`] in [`FailureMode::Partial`] (or the
-    /// [`SpatialDatabase::approx_generate_batch_partial`] wrapper), whose
-    /// outcome keeps failed slots as `None` alongside the typed first
-    /// failure. Internally this wrapper routes through exactly that partial
-    /// machinery and then drops the `None`s.
-    pub fn approx_generate_many<R: Rng + ?Sized>(
-        &self,
-        name: &str,
-        n: usize,
-        rng: &mut R,
-    ) -> Result<Vec<Vec<f64>>, SpatialDbError> {
-        let spec = QuerySpec::sample(name, n).partial();
-        let outcome = self.query_with_rng(&spec, rng)?;
-        Ok(outcome
-            .into_points_batch()
-            .results
-            .into_iter()
-            .flatten()
-            .collect())
-    }
-
-    /// Draws `n` almost-uniform points from the named relation in parallel:
-    /// point `i` is funded by child stream `i + 1` of `seq` and the chains
-    /// are split across up to `threads` worker threads (`0` = one per core),
-    /// so the output is identical for any thread count. Failed draws are
-    /// `None`, keeping indices aligned with seed streams.
-    pub fn approx_generate_batch(
-        &self,
-        name: &str,
-        n: usize,
-        seq: &SeedSequence,
-        threads: usize,
-    ) -> Result<Vec<Option<Vec<f64>>>, SpatialDbError> {
-        let spec = QuerySpec::sample(name, n)
-            .with_seed_sequence(*seq)
-            .with_threads(threads)
-            .partial();
-        Ok(self.query(&spec)?.into_points_batch().results)
-    }
-
-    /// Panic-contained, budget-aware variant of
-    /// [`SpatialDatabase::approx_generate_batch`]: every batch worker runs
-    /// behind a panic boundary, so one poisoned item cannot take down the
-    /// others — surviving workers complete, their results are returned, and
-    /// the first failure (a contained [`SpatialDbError::WorkerPanicked`], a
-    /// per-item [`SpatialDbError::BudgetExhausted`] or a genuine
-    /// [`SpatialDbError::GenerationFailed`]) rides alongside them in the
-    /// [`PartialBatch`]. The budget applies to each item independently, so
-    /// the outcome vector is identical for every thread count.
-    pub fn approx_generate_batch_partial(
-        &self,
-        name: &str,
-        n: usize,
-        seq: &SeedSequence,
-        threads: usize,
-        budget: &QueryBudget,
-    ) -> Result<PartialBatch<Vec<f64>>, SpatialDbError> {
-        let spec = QuerySpec::sample(name, n)
-            .with_seed_sequence(*seq)
-            .with_threads(threads)
-            .with_budget(budget)
-            .partial();
-        Ok(self.query(&spec)?.into_points_batch())
-    }
-
-    /// Median of `repeats` parallel independent volume estimates of the named
-    /// relation — the batched, thread-count-independent counterpart of
-    /// [`SpatialDatabase::approx_volume`].
-    pub fn approx_volume_batch(
-        &self,
-        name: &str,
-        repeats: usize,
-        seq: &SeedSequence,
-        threads: usize,
-    ) -> Result<f64, SpatialDbError> {
-        let spec = QuerySpec::volume(name, repeats)
-            .with_seed_sequence(*seq)
-            .with_threads(threads)
-            .partial();
-        let outcome = self.query(&spec)?;
-        match outcome.volume() {
-            Some(v) => Ok(v),
-            None => Err(outcome
-                .error
-                .expect("an all-failed volume batch records its first failure")),
-        }
-    }
-
-    /// Panic-contained, budget-aware variant of
-    /// [`SpatialDatabase::approx_volume_batch`]: returns every independent
-    /// volume estimate that completed (index-aligned with the seed streams)
-    /// alongside the first failure, instead of collapsing to a median or a
-    /// single error. See
-    /// [`SpatialDatabase::approx_generate_batch_partial`] for the
-    /// containment and budget semantics.
-    pub fn approx_volume_batch_partial(
-        &self,
-        name: &str,
-        repeats: usize,
-        seq: &SeedSequence,
-        threads: usize,
-        budget: &QueryBudget,
-    ) -> Result<PartialBatch<f64>, SpatialDbError> {
-        let spec = QuerySpec::volume(name, repeats)
-            .with_seed_sequence(*seq)
-            .with_threads(threads)
-            .with_budget(budget)
-            .partial();
-        Ok(self.query(&spec)?.into_volumes_batch())
-    }
-
-    /// Estimates the volume of the named relation.
-    ///
-    /// Thin wrapper over [`SpatialDatabase::query_with_rng`] with
-    /// [`QueryKind::Volume`]`{ repeats: 1 }`.
-    pub fn approx_volume<R: Rng + ?Sized>(
-        &self,
-        name: &str,
-        rng: &mut R,
-    ) -> Result<f64, SpatialDbError> {
-        self.approx_volume_budgeted(name, &QueryBudget::unlimited(), rng)
-    }
-
-    /// [`SpatialDatabase::approx_volume`] under an explicit [`QueryBudget`]
-    /// (see [`SpatialDatabase::approx_generate_budgeted`] for the trip
-    /// semantics).
-    pub fn approx_volume_budgeted<R: Rng + ?Sized>(
-        &self,
-        name: &str,
-        budget: &QueryBudget,
-        rng: &mut R,
-    ) -> Result<f64, SpatialDbError> {
-        let spec = QuerySpec::volume(name, 1).with_budget(budget);
-        let outcome = self.query_with_rng(&spec, rng)?;
-        Ok(outcome
-            .volume()
-            .expect("a fail-fast volume query that returned Ok holds its estimate"))
-    }
-
-    /// Estimates the result set of a positive existential query (free
-    /// variables `x_0 … x_{output_arity−1}`) as a generalized relation.
-    ///
-    /// Thin wrapper over the [`QueryKind::Reconstruct`] arm of
-    /// [`SpatialDatabase::query_with_rng`].
-    pub fn approx_query<R: Rng + ?Sized>(
-        &self,
-        query: &Formula,
-        output_arity: usize,
-        rng: &mut R,
-    ) -> Result<GeneralizedRelation, SpatialDbError> {
-        let outcome = self.run_reconstruct(query, output_arity, rng)?;
-        match outcome.value {
-            QueryValue::Relation(relation) => Ok(relation),
-            other => unreachable!("reconstruction produced a non-relation value {other:?}"),
-        }
     }
 
     /// Evaluates a query exactly through the symbolic pipeline (resolution,
@@ -640,13 +430,24 @@ mod tests {
     fn generate_and_volume() {
         let db = sample_db();
         let mut rng = StdRng::seed_from_u64(201);
-        let p = db.approx_generate("R", &mut rng).unwrap();
-        assert!(db.relation("R").unwrap().contains_f64(&p));
-        let v = db.approx_volume("R", &mut rng).unwrap();
+        let sample = db
+            .query_with_rng(&QuerySpec::sample("R", 1), &mut rng)
+            .unwrap();
+        assert!(db
+            .relation("R")
+            .unwrap()
+            .contains_f64(sample.point().unwrap()));
+        let v = db
+            .query_with_rng(&QuerySpec::volume("R", 1), &mut rng)
+            .unwrap()
+            .volume()
+            .unwrap();
         assert!((v - 2.0).abs() < 0.7, "volume {v}");
-        let many = db.approx_generate_many("U", 100, &mut rng).unwrap();
-        assert!(many.len() > 80);
-        for p in &many {
+        let many = db
+            .query_with_rng(&QuerySpec::sample("U", 100).partial(), &mut rng)
+            .unwrap();
+        assert!(many.completed > 80);
+        for p in many.points().iter().flatten() {
             assert!(db.relation("U").unwrap().contains_f64(p));
         }
     }
@@ -654,17 +455,26 @@ mod tests {
     #[test]
     fn batch_generation_is_thread_count_independent() {
         let db = sample_db();
-        let seq = SeedSequence::new(77);
-        let single = db.approx_generate_batch("U", 64, &seq, 1).unwrap();
-        let pooled = db.approx_generate_batch("U", 64, &seq, 4).unwrap();
-        assert_eq!(single, pooled);
+        let sample = |threads| {
+            let spec = QuerySpec::sample("U", 64)
+                .with_seed(77)
+                .with_threads(threads);
+            db.query(&spec.partial()).unwrap().points().to_vec()
+        };
+        let single = sample(1);
+        assert_eq!(single, sample(4));
         assert!(single.iter().filter(|p| p.is_some()).count() > 50);
         for p in single.iter().flatten() {
             assert!(db.relation("U").unwrap().contains_f64(p));
         }
-        let v1 = db.approx_volume_batch("R", 5, &seq, 1).unwrap();
-        let v4 = db.approx_volume_batch("R", 5, &seq, 4).unwrap();
-        assert_eq!(v1, v4);
+        let volume = |threads| {
+            let spec = QuerySpec::volume("R", 5)
+                .with_seed(77)
+                .with_threads(threads);
+            db.query(&spec).unwrap().volume().unwrap()
+        };
+        let v1 = volume(1);
+        assert_eq!(v1, volume(4));
         assert!((v1 - 2.0).abs() < 0.7, "volume {v1}");
     }
 
@@ -673,7 +483,7 @@ mod tests {
         let db = sample_db();
         let mut rng = StdRng::seed_from_u64(202);
         assert!(matches!(
-            db.approx_generate("Missing", &mut rng),
+            db.query_with_rng(&QuerySpec::sample("Missing", 1), &mut rng),
             Err(SpatialDbError::UnknownRelation(_))
         ));
     }
@@ -687,7 +497,10 @@ mod tests {
         let exact = db.evaluate_exact(&q, 1).unwrap();
         assert!(exact.contains_f64(&[1.0]));
         assert!(!exact.contains_f64(&[2.5]));
-        let approx = db.approx_query(&q, 1, &mut rng).unwrap();
+        let outcome = db
+            .query_with_rng(&QuerySpec::reconstruct("R", q, 1), &mut rng)
+            .unwrap();
+        let approx = outcome.relation().unwrap();
         // The approximation covers the middle of the interval and does not
         // wildly overshoot.
         assert!(approx.contains_f64(&[1.0]));
@@ -707,7 +520,7 @@ mod tests {
         );
         let mut rng = StdRng::seed_from_u64(204);
         assert!(matches!(
-            db.approx_volume("Half", &mut rng),
+            db.query_with_rng(&QuerySpec::volume("Half", 1), &mut rng),
             Err(SpatialDbError::NotObservable { .. })
         ));
     }

@@ -1,10 +1,4 @@
-//! The unified query surface: one entry point for every approximate query.
-//!
-//! Historically the [`SpatialDatabase`] surface grew one `approx_*` method
-//! per (query kind × execution mode) combination — budgeted or not, batched
-//! or sequential, partial or fail-fast — ten entry points that any service
-//! layer had to bind one by one. This module collapses them into a single
-//! declarative call:
+//! The query surface: one declarative call for every approximate query.
 //!
 //! ```
 //! use cdb_core::{QueryOutcome, QuerySpec, SpatialDatabase};
@@ -34,21 +28,24 @@
 //! * [`SpatialDatabase::query_with_rng`] runs the query **sequentially**
 //!   from a caller-supplied RNG stream, the classical library mode.
 //!
-//! The legacy `approx_*` entry points survive as thin wrappers over these
-//! two methods (the determinism suite pins new-vs-old bitwise equality), so
-//! existing callers keep working while new layers — `cdb-server` foremost —
-//! bind only this surface.
+//! Both modes share one item runner: every sample or volume item yields a
+//! `(value, budget trip, attempts)` slot, and one fold turns the slots into
+//! the outcome, so a failure is typed the same way whichever mode ran it.
+//! The determinism suite pins both modes bitwise against a raw
+//! [`UnionGenerator`].
 
 use std::sync::atomic::Ordering;
 
+use rand::rngs::StdRng;
 use rand::Rng;
 
 use cdb_constraint::{Formula, GeneralizedRelation};
 use cdb_sampler::{
-    batch, BudgetTrip, QueryBudget, RelationGenerator, RelationVolumeEstimator, SeedSequence,
+    batch, BudgetTrip, FaultPlan, QueryBudget, RelationGenerator, RelationVolumeEstimator,
+    SeedSequence, UnionGenerator,
 };
 
-use crate::{draw_failure, PartialBatch, QueryPhase, SpatialDatabase, SpatialDbError};
+use crate::{QueryPhase, SpatialDatabase, SpatialDbError};
 
 /// What a query computes.
 #[derive(Clone, Debug)]
@@ -172,9 +169,9 @@ impl QuerySpec {
         self.with_seed_sequence(SeedSequence::new(seed))
     }
 
-    /// Funds the query from an explicit [`SeedSequence`] root — the form the
-    /// batch wrappers use so `query` consumes exactly the streams the legacy
-    /// `approx_*_batch` entry points consumed.
+    /// Funds the query from an explicit [`SeedSequence`] root: item `i`
+    /// draws from its [`SeedSequence::item_stream`]`(i)`, the same streams
+    /// [`RelationGenerator::sample_batch`] consumes.
     pub fn with_seed_sequence(mut self, seq: SeedSequence) -> Self {
         self.options.seed = Some(seq);
         self
@@ -268,46 +265,20 @@ impl QueryOutcome {
             _ => None,
         }
     }
-
-    /// Converts a sample outcome into the legacy [`PartialBatch`] shape.
-    ///
-    /// # Panics
-    /// If the outcome is not a [`QueryValue::Points`] value.
-    pub fn into_points_batch(self) -> PartialBatch<Vec<f64>> {
-        match self.value {
-            QueryValue::Points(results) => PartialBatch {
-                results,
-                completed: self.completed,
-                error: self.error,
-            },
-            other => panic!("expected a sample outcome, got {other:?}"),
-        }
-    }
-
-    /// Converts a volume outcome into the legacy [`PartialBatch`] shape.
-    ///
-    /// # Panics
-    /// If the outcome is not a [`QueryValue::Volumes`] value.
-    pub fn into_volumes_batch(self) -> PartialBatch<f64> {
-        match self.value {
-            QueryValue::Volumes(results) => PartialBatch {
-                results,
-                completed: self.completed,
-                error: self.error,
-            },
-            other => panic!("expected a volume outcome, got {other:?}"),
-        }
-    }
 }
 
-/// Folds a contained fan-out's per-item `(value, trip, attempts)` slots into
-/// the index-aligned result vector, the completed count, and the first
-/// failure (a contained worker panic outranks per-item failures, mirroring
-/// the legacy `*_batch_partial` collection order).
+/// What one item of a sample or volume query left behind: its value (or
+/// `None` on failure), the budget trip that stopped it, and the attempts it
+/// charged.
+type Slot<T> = (Option<T>, Option<BudgetTrip>, u64);
+
+/// Folds per-item slots into the index-aligned result vector, the completed
+/// count, and the first failure (a contained worker panic outranks per-item
+/// failures).
 fn collect_slots<T>(
     relation: &str,
     phase: QueryPhase,
-    report: batch::FanOutReport<(Option<T>, Option<BudgetTrip>, u64)>,
+    report: batch::FanOutReport<Slot<T>>,
 ) -> (Vec<Option<T>>, usize, Option<SpatialDbError>) {
     let mut error = report
         .panics
@@ -348,6 +319,63 @@ fn collect_slots<T>(
     (results, completed, error)
 }
 
+/// Where a query's randomness comes from.
+enum Funding<'a, R: ?Sized> {
+    /// Item `i` draws from [`SeedSequence::item_stream`]`(i)`.
+    Seeded(SeedSequence),
+    /// Items continue the caller's stream in order.
+    Caller(&'a mut R),
+}
+
+/// A per-item draw of the union generator: a point for sample queries, an
+/// estimate for volume queries.
+trait Item: Sized + Send {
+    /// The phase a failed draw is reported under.
+    const PHASE: QueryPhase;
+    /// Draws one item, or fails.
+    fn draw<R: Rng + ?Sized>(generator: &mut UnionGenerator, rng: &mut R) -> Option<Self>;
+    /// Wraps the index-aligned results as the outcome's value.
+    fn into_value(results: Vec<Option<Self>>) -> QueryValue;
+}
+
+impl Item for Vec<f64> {
+    const PHASE: QueryPhase = QueryPhase::Sampling;
+    fn draw<R: Rng + ?Sized>(generator: &mut UnionGenerator, rng: &mut R) -> Option<Self> {
+        generator.sample(rng)
+    }
+    fn into_value(results: Vec<Option<Self>>) -> QueryValue {
+        QueryValue::Points(results)
+    }
+}
+
+impl Item for f64 {
+    const PHASE: QueryPhase = QueryPhase::VolumeEstimation;
+    fn draw<R: Rng + ?Sized>(generator: &mut UnionGenerator, rng: &mut R) -> Option<Self> {
+        generator.estimate_volume(rng)
+    }
+    fn into_value(results: Vec<Option<Self>>) -> QueryValue {
+        QueryValue::Volumes(results)
+    }
+}
+
+/// Runs one item: a forced draw failure from the fault plan, or one draw
+/// with the generator's trip and attempt count recorded beside it.
+fn draw_slot<T: Item, R: Rng + ?Sized>(
+    faults: &FaultPlan,
+    generator: &mut UnionGenerator,
+    rng: &mut R,
+) -> Slot<T> {
+    if faults.take_forced_draw_failure() {
+        return (None, None, 0);
+    }
+    let value = T::draw(generator, rng);
+    (
+        value,
+        generator.budget_trip(),
+        generator.budget_meter().attempts_used(),
+    )
+}
+
 impl SpatialDatabase {
     /// Runs a **seeded** query: the outcome is a pure function of the spec
     /// (relation content, parameters, seed, budget), bitwise identical for
@@ -368,177 +396,100 @@ impl SpatialDatabase {
                     .to_string(),
             )
         })?;
-        match &spec.kind {
-            QueryKind::Sample { n } => self.seeded_samples(spec, *n, &seq),
-            QueryKind::Volume { repeats } => self.seeded_volumes(spec, (*repeats).max(1), &seq),
-            QueryKind::Reconstruct {
-                query,
-                output_arity,
-            } => self.run_reconstruct(query, *output_arity, &mut seq.item_stream(0).rng()),
-        }
+        self.run(spec, Funding::<StdRng>::Seeded(seq))
     }
 
     /// Runs a query **sequentially** from a caller-supplied RNG stream: item
-    /// `i + 1` continues the stream where item `i` left off, exactly like
-    /// the classical library entry points. [`QueryOptions::seed`] and
-    /// [`QueryOptions::threads`] are ignored.
+    /// `i + 1` continues the stream where item `i` left off, and under
+    /// [`FailureMode::Fail`] the first failed item ends the query.
+    /// [`QueryOptions::seed`] and [`QueryOptions::threads`] are ignored.
     pub fn query_with_rng<R: Rng + ?Sized>(
         &self,
         spec: &QuerySpec,
         rng: &mut R,
     ) -> Result<QueryOutcome, SpatialDbError> {
+        self.run(spec, Funding::Caller(rng))
+    }
+
+    fn run<R: Rng + ?Sized>(
+        &self,
+        spec: &QuerySpec,
+        funding: Funding<'_, R>,
+    ) -> Result<QueryOutcome, SpatialDbError> {
         match &spec.kind {
-            QueryKind::Sample { n } => self.sequential_samples(spec, *n, rng),
-            QueryKind::Volume { repeats } => self.sequential_volumes(spec, (*repeats).max(1), rng),
+            QueryKind::Sample { n } => self.run_items::<Vec<f64>, R>(spec, *n, funding),
+            QueryKind::Volume { repeats } => {
+                self.run_items::<f64, R>(spec, (*repeats).max(1), funding)
+            }
             QueryKind::Reconstruct {
                 query,
                 output_arity,
-            } => self.run_reconstruct(query, *output_arity, rng),
+            } => match funding {
+                Funding::Seeded(seq) => {
+                    self.run_reconstruct(query, *output_arity, &mut seq.item_stream(0).rng())
+                }
+                Funding::Caller(rng) => self.run_reconstruct(query, *output_arity, rng),
+            },
         }
     }
 
-    fn seeded_samples(
+    /// The item runner behind every sample and volume query: attaches the
+    /// prepared generator under the spec's budget, yields one slot per
+    /// item, and folds the slots into the outcome.
+    fn run_items<T: Item, R: Rng + ?Sized>(
         &self,
         spec: &QuerySpec,
         n: usize,
-        seq: &SeedSequence,
+        funding: Funding<'_, R>,
     ) -> Result<QueryOutcome, SpatialDbError> {
         let mut generator = self.prepared_generator(&spec.relation)?;
         generator.set_budget(spec.options.budget.clone());
-        let report = batch::fan_out_contained(
-            n,
-            spec.options.threads,
-            || generator.clone(),
-            |g, i| {
-                let mut rng = seq.item_stream(i).rng();
-                let point = g.sample(&mut rng);
-                let trip = g.budget_trip();
-                let attempts = g.budget_meter().attempts_used();
-                (point, trip, attempts)
-            },
-        );
-        self.note_contained_panics(report.panics.len());
-        let (results, completed, error) =
-            collect_slots(&spec.relation, QueryPhase::Sampling, report);
-        finish(spec, QueryValue::Points(results), completed, error)
-    }
-
-    fn seeded_volumes(
-        &self,
-        spec: &QuerySpec,
-        repeats: usize,
-        seq: &SeedSequence,
-    ) -> Result<QueryOutcome, SpatialDbError> {
-        let mut generator = self.prepared_generator(&spec.relation)?;
-        generator.set_budget(spec.options.budget.clone());
-        let report = batch::fan_out_contained(
-            repeats,
-            spec.options.threads,
-            || generator.clone(),
-            |g, i| {
-                let mut rng = seq.item_stream(i).rng();
-                let volume = g.estimate_volume(&mut rng);
-                let trip = g.budget_trip();
-                let attempts = g.budget_meter().attempts_used();
-                (volume, trip, attempts)
-            },
-        );
-        self.note_contained_panics(report.panics.len());
-        let (results, completed, error) =
-            collect_slots(&spec.relation, QueryPhase::VolumeEstimation, report);
-        finish(spec, QueryValue::Volumes(results), completed, error)
-    }
-
-    fn sequential_samples<R: Rng + ?Sized>(
-        &self,
-        spec: &QuerySpec,
-        n: usize,
-        rng: &mut R,
-    ) -> Result<QueryOutcome, SpatialDbError> {
-        let mut generator = self.prepared_generator(&spec.relation)?;
-        generator.set_budget(spec.options.budget.clone());
-        let mut results = Vec::with_capacity(n);
-        let mut completed = 0usize;
-        let mut error = None;
-        for _ in 0..n {
-            match generator.sample(rng) {
-                Some(point) => {
-                    completed += 1;
-                    results.push(Some(point));
+        let faults = self.fault_plan();
+        let report = match funding {
+            Funding::Seeded(seq) => batch::fan_out_contained(
+                n,
+                spec.options.threads,
+                || generator.clone(),
+                |g, i| {
+                    faults.inject_worker_panic(i);
+                    draw_slot::<T, _>(faults, g, &mut seq.item_stream(i).rng())
+                },
+            ),
+            Funding::Caller(rng) => {
+                let mut slots = Vec::with_capacity(n);
+                for _ in 0..n {
+                    let slot = draw_slot::<T, R>(faults, &mut generator, rng);
+                    let failed = slot.0.is_none();
+                    slots.push(Some(slot));
+                    if failed && spec.options.failure == FailureMode::Fail {
+                        break;
+                    }
                 }
-                None => {
-                    let failure =
-                        draw_failure(&spec.relation, &generator, QueryPhase::Sampling, completed);
-                    if spec.options.failure == FailureMode::Fail {
-                        return Err(failure);
-                    }
-                    if error.is_none() {
-                        error = Some(failure);
-                    }
-                    results.push(None);
+                batch::FanOutReport {
+                    slots,
+                    panics: Vec::new(),
                 }
             }
-        }
-        Ok(QueryOutcome {
-            value: QueryValue::Points(results),
-            completed,
-            error,
-        })
+        };
+        self.note_contained_panics(report.panics.len());
+        let (results, completed, error) = collect_slots(&spec.relation, T::PHASE, report);
+        finish(spec, T::into_value(results), completed, error)
     }
 
-    fn sequential_volumes<R: Rng + ?Sized>(
-        &self,
-        spec: &QuerySpec,
-        repeats: usize,
-        rng: &mut R,
-    ) -> Result<QueryOutcome, SpatialDbError> {
-        let mut generator = self.prepared_generator(&spec.relation)?;
-        generator.set_budget(spec.options.budget.clone());
-        let mut results = Vec::with_capacity(repeats);
-        let mut completed = 0usize;
-        let mut error = None;
-        for _ in 0..repeats {
-            match generator.estimate_volume(rng) {
-                Some(volume) => {
-                    completed += 1;
-                    results.push(Some(volume));
-                }
-                None => {
-                    let failure = draw_failure(
-                        &spec.relation,
-                        &generator,
-                        QueryPhase::VolumeEstimation,
-                        completed,
-                    );
-                    if spec.options.failure == FailureMode::Fail {
-                        return Err(failure);
-                    }
-                    if error.is_none() {
-                        error = Some(failure);
-                    }
-                    results.push(None);
-                }
-            }
-        }
-        Ok(QueryOutcome {
-            value: QueryValue::Volumes(results),
-            completed,
-            error,
-        })
-    }
-
-    /// The reconstruction arm shared by both execution modes and the legacy
-    /// [`SpatialDatabase::approx_query`] wrapper. No budgeted evaluation
-    /// path exists for the estimator yet, so [`QueryOptions::budget`] is not
-    /// consulted here.
-    pub(crate) fn run_reconstruct<R: Rng + ?Sized>(
+    /// The reconstruction arm shared by both execution modes. No budgeted
+    /// evaluation path exists for the estimator yet, so
+    /// [`QueryOptions::budget`] is not consulted here.
+    fn run_reconstruct<R: Rng + ?Sized>(
         &self,
         query: &Formula,
         output_arity: usize,
         rng: &mut R,
     ) -> Result<QueryOutcome, SpatialDbError> {
-        let estimator =
-            cdb_reconstruct::PositiveQueryEstimator::new(self.params, self.eps, self.delta);
+        let estimator = cdb_reconstruct::PositiveQueryEstimator::new(
+            self.params,
+            self.params.eps,
+            self.params.delta,
+        );
         let relation = estimator
             .estimate(&self.database, query, output_arity, rng)
             .map_err(SpatialDbError::Reconstruction)?;
@@ -633,15 +584,47 @@ mod tests {
     }
 
     #[test]
-    fn rng_mode_matches_sequential_draws() {
+    fn rng_mode_continues_the_callers_stream() {
+        // Four items in one query equal four one-item queries on the same
+        // stream: each item picks up where the previous one left off.
         let db = demo_db();
-        let spec = QuerySpec::sample("R", 4).partial();
         let mut rng = StdRng::seed_from_u64(5);
-        let outcome = db.query_with_rng(&spec, &mut rng).unwrap();
+        let outcome = db
+            .query_with_rng(&QuerySpec::sample("R", 4), &mut rng)
+            .unwrap();
         let mut reference = StdRng::seed_from_u64(5);
-        let expected: Vec<Vec<f64>> = db.approx_generate_many("R", 4, &mut reference).unwrap();
-        let got: Vec<Vec<f64>> = outcome.points().iter().flatten().cloned().collect();
-        assert_eq!(got, expected);
+        let expected: Vec<Option<Vec<f64>>> = (0..4)
+            .map(|_| {
+                let one = db.query_with_rng(&QuerySpec::sample("R", 1), &mut reference);
+                Some(one.unwrap().point().unwrap().to_vec())
+            })
+            .collect();
+        assert_eq!(outcome.points(), expected.as_slice());
+    }
+
+    #[test]
+    fn rng_mode_stops_at_the_first_failure_when_failing_fast() {
+        let mut db = demo_db();
+        db = db.with_fault_plan(FaultPlan::new().with_forced_draw_failures(2));
+        let mut rng = StdRng::seed_from_u64(6);
+        assert!(matches!(
+            db.query_with_rng(&QuerySpec::sample("R", 3), &mut rng),
+            Err(SpatialDbError::GenerationFailed { .. })
+        ));
+        // Fail-fast consumed one forced failure; partial mode sees the
+        // other and then completes the remaining items.
+        let outcome = db
+            .query_with_rng(&QuerySpec::sample("R", 3).partial(), &mut rng)
+            .unwrap();
+        assert_eq!(outcome.completed, 2);
+        assert!(outcome.points()[0].is_none());
+        assert!(matches!(
+            outcome.error,
+            Some(SpatialDbError::GenerationFailed {
+                phase: QueryPhase::Sampling,
+                ..
+            })
+        ));
     }
 
     #[test]
@@ -655,7 +638,7 @@ mod tests {
     }
 
     #[test]
-    fn median_is_the_legacy_one() {
+    fn median_takes_the_upper_middle() {
         assert_eq!(median([3.0, 1.0, 2.0].into_iter()), Some(2.0));
         assert_eq!(median([2.0, 1.0].into_iter()), Some(2.0));
         assert_eq!(median(std::iter::empty()), None);

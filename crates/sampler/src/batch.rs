@@ -6,7 +6,10 @@
 //! one shared [`rand::Rng`]) serializes them. This module supplies the
 //! missing piece: a [`SeedSequence`]-driven fan-out over `std::thread::scope`
 //! workers in which work item `i` always consumes the child stream
-//! [`SeedSequence::item_stream`]`(i)`, no matter which worker runs it.
+//! [`SeedSequence::item_stream`]`(i)`, no matter which worker runs it. The
+//! default [`RelationGenerator::sample_batch`] and
+//! [`RelationVolumeEstimator::estimate_volume_batch`] implementations are
+//! built on it.
 //!
 //! **Determinism contract.** For a fixed seed the output of every function in
 //! this module is bitwise identical for any thread count (1, 2, 8, or
@@ -18,8 +21,11 @@
 //! No new dependencies are involved: workers are plain scoped threads, and
 //! worker-local generator state is obtained by cloning the prepared generator
 //! inside each worker.
-
-use crate::params::{RelationGenerator, RelationVolumeEstimator, SeedSequence};
+//!
+//! [`SeedSequence`]: crate::SeedSequence
+//! [`SeedSequence::item_stream`]: crate::SeedSequence::item_stream
+//! [`RelationGenerator::sample_batch`]: crate::RelationGenerator::sample_batch
+//! [`RelationVolumeEstimator::estimate_volume_batch`]: crate::RelationVolumeEstimator::estimate_volume_batch
 
 /// Number of worker threads to use when the caller passes `threads == 0`:
 /// one per available core (and `1` when parallelism cannot be queried).
@@ -105,7 +111,6 @@ where
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let mut state = init();
             for (i, slot) in slots.iter_mut().enumerate() {
-                crate::faults::before_item(i);
                 *slot = Some(task(&mut state, i));
             }
         }));
@@ -129,7 +134,6 @@ where
                             let mut state = init();
                             for (k, slot) in piece.iter_mut().enumerate() {
                                 let i = w * chunk + k;
-                                crate::faults::before_item(i);
                                 *slot = Some(task(&mut state, i));
                             }
                         }))
@@ -176,8 +180,7 @@ pub struct TimedItem<T> {
 /// schedule, which is how the load harness measures latency from the
 /// *scheduled* arrival rather than from dispatch. Timestamps are measurement
 /// metadata only: the task values keep the same determinism contract as
-/// [`fan_out_contained`], and the fault-injection `before_item` hook fires
-/// exactly as it does there.
+/// [`fan_out_contained`].
 pub fn fan_out_contained_timed<T, S, I, F>(
     n: usize,
     threads: usize,
@@ -201,31 +204,6 @@ where
     })
 }
 
-/// [`fan_out_contained`] for infallible tasks: returns the results in index
-/// order, or the first contained [`WorkerPanic`] if any worker panicked
-/// (surviving workers still run to completion first).
-pub fn try_fan_out<T, S, I, F>(
-    n: usize,
-    threads: usize,
-    init: I,
-    task: F,
-) -> Result<Vec<T>, WorkerPanic>
-where
-    T: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> T + Sync,
-{
-    let report = fan_out_contained(n, threads, init, task);
-    if let Some(panic) = report.panics.into_iter().next() {
-        return Err(panic);
-    }
-    Ok(report
-        .slots
-        .into_iter()
-        .map(|s| s.expect("every slot is filled by exactly one worker"))
-        .collect())
-}
-
 /// Runs `task(state, i)` for every `i in 0..n` across up to `threads` scoped
 /// worker threads and returns the results in index order.
 ///
@@ -233,64 +211,22 @@ where
 /// is re-raised on the calling thread (with the worker index and payload in
 /// the message) after the surviving workers have completed. Callers that
 /// need partial results instead of a propagated panic use
-/// [`fan_out_contained`] or [`try_fan_out`].
+/// [`fan_out_contained`].
 pub fn fan_out<T, S, I, F>(n: usize, threads: usize, init: I, task: F) -> Vec<T>
 where
     T: Send,
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize) -> T + Sync,
 {
-    try_fan_out(n, threads, init, task)
-        .unwrap_or_else(|p| panic!("batch worker {} panicked: {}", p.worker, p.payload))
-}
-
-/// Parallel counterpart of [`RelationGenerator::sample_batch`] for a
-/// generator whose setup has already run ([`RelationGenerator::prepare`]):
-/// each worker samples from its own clone, item `i` from child stream
-/// `i + 1`. Used by the generators to override the sequential trait default
-/// with an identical-output parallel fan-out.
-///
-/// Because the workers mutate clones, *diagnostic* state accumulated during
-/// sampling (the `acceptance_rate()` attempt/accept counters of the
-/// rejection-based generators) is not folded back into `generator` — batch
-/// entry points never update the sequential acceptance statistics. The
-/// poly-relatedness signal itself is unaffected: each repeat still reports
-/// failure through its own `None`.
-pub fn sample_batch_prepared<G>(
-    generator: &G,
-    n: usize,
-    seq: &SeedSequence,
-    threads: usize,
-) -> Vec<Option<Vec<f64>>>
-where
-    G: RelationGenerator + Clone + Send + Sync,
-{
-    fan_out(
-        n,
-        threads,
-        || generator.clone(),
-        |g, i| g.sample(&mut seq.item_stream(i).rng()),
-    )
-}
-
-/// Parallel counterpart of [`RelationVolumeEstimator::estimate_volume_batch`]
-/// for a prepared generator: repeat `i` runs on a worker-local clone with
-/// child stream `i + 1`.
-pub fn estimate_volume_batch_prepared<G>(
-    generator: &G,
-    repeats: usize,
-    seq: &SeedSequence,
-    threads: usize,
-) -> Vec<Option<f64>>
-where
-    G: RelationVolumeEstimator + Clone + Send + Sync,
-{
-    fan_out(
-        repeats,
-        threads,
-        || generator.clone(),
-        |g, i| g.estimate_volume(&mut seq.item_stream(i).rng()),
-    )
+    let report = fan_out_contained(n, threads, init, task);
+    if let Some(p) = report.panics.first() {
+        panic!("batch worker {} panicked: {}", p.worker, p.payload);
+    }
+    report
+        .slots
+        .into_iter()
+        .map(|s| s.expect("every slot is filled by exactly one worker"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -338,9 +274,6 @@ mod tests {
 
     #[test]
     fn contained_fan_out_completes_surviving_workers() {
-        // The empty-plan guard serializes fault tests and silences the
-        // deliberate "injected…" panic messages in the test logs.
-        let _quiet = crate::faults::FaultPlan::new(0).install();
         // Worker 0 (items 0..4) panics at item 1; the other workers must
         // still fill every one of their slots.
         let report = fan_out_contained(
@@ -367,7 +300,6 @@ mod tests {
 
     #[test]
     fn contained_fan_out_single_thread_contains_too() {
-        let _quiet = crate::faults::FaultPlan::new(0).install();
         let report = fan_out_contained(
             4,
             1,
@@ -383,7 +315,6 @@ mod tests {
 
     #[test]
     fn timed_fan_out_records_monotonic_offsets_and_contains_panics() {
-        let _quiet = crate::faults::FaultPlan::new(0).install();
         let epoch = std::time::Instant::now();
         let report = fan_out_contained_timed(
             12,
@@ -409,9 +340,9 @@ mod tests {
     }
 
     #[test]
-    fn try_fan_out_surfaces_the_first_panic() {
-        let _quiet = crate::faults::FaultPlan::new(0).install();
-        let err = try_fan_out(
+    #[should_panic(expected = "batch worker 1 panicked: injected: item six")]
+    fn fan_out_reraises_the_first_panic() {
+        fan_out(
             8,
             2,
             || (),
@@ -419,10 +350,6 @@ mod tests {
                 assert!(i != 6, "injected: item six");
                 i
             },
-        )
-        .unwrap_err();
-        assert_eq!(err.worker, 1);
-        assert!(err.payload.contains("item six"));
-        assert_eq!(try_fan_out(3, 2, || (), |_, i| i).unwrap(), vec![0, 1, 2]);
+        );
     }
 }

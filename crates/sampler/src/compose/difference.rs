@@ -6,7 +6,6 @@ use rand::Rng;
 
 use cdb_constraint::GeneralizedRelation;
 
-use crate::batch;
 use crate::budget::{BudgetMeter, BudgetTrip, QueryBudget, COMPOSE_ATTEMPT_FACTOR};
 use crate::compose::union::UnionGenerator;
 use crate::compose::ObservabilityError;
@@ -99,31 +98,11 @@ impl RelationGenerator for DifferenceGenerator {
     fn budget_trip(&self) -> Option<BudgetTrip> {
         self.meter.trip().or_else(|| self.minuend.budget_trip())
     }
-
-    fn sample_batch(
-        &mut self,
-        n: usize,
-        seq: &SeedSequence,
-        threads: usize,
-    ) -> Vec<Option<Vec<f64>>> {
-        self.prepare(seq);
-        batch::sample_batch_prepared(self, n, seq, threads)
-    }
 }
 
 impl RelationVolumeEstimator for DifferenceGenerator {
     fn prepare_estimator(&mut self, seq: &SeedSequence) {
         RelationGenerator::prepare(self, seq);
-    }
-
-    fn estimate_volume_batch(
-        &mut self,
-        repeats: usize,
-        seq: &SeedSequence,
-        threads: usize,
-    ) -> Vec<Option<f64>> {
-        self.prepare_estimator(seq);
-        batch::estimate_volume_batch_prepared(self, repeats, seq, threads)
     }
 
     fn estimate_volume<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Option<f64> {

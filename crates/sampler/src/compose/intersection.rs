@@ -12,7 +12,6 @@ use rand::Rng;
 
 use cdb_constraint::GeneralizedRelation;
 
-use crate::batch;
 use crate::budget::{BudgetMeter, BudgetTrip, QueryBudget, COMPOSE_ATTEMPT_FACTOR};
 use crate::compose::union::UnionGenerator;
 use crate::compose::ObservabilityError;
@@ -150,16 +149,6 @@ impl RelationGenerator for IntersectionGenerator {
         self.ensure_smallest(&mut seq.setup_stream().rng());
     }
 
-    fn sample_batch(
-        &mut self,
-        n: usize,
-        seq: &SeedSequence,
-        threads: usize,
-    ) -> Vec<Option<Vec<f64>>> {
-        self.prepare(seq);
-        batch::sample_batch_prepared(self, n, seq, threads)
-    }
-
     fn set_budget(&mut self, budget: QueryBudget) {
         for g in &mut self.generators {
             g.set_budget(budget.clone());
@@ -177,16 +166,6 @@ impl RelationGenerator for IntersectionGenerator {
 impl RelationVolumeEstimator for IntersectionGenerator {
     fn prepare_estimator(&mut self, seq: &SeedSequence) {
         RelationGenerator::prepare(self, seq);
-    }
-
-    fn estimate_volume_batch(
-        &mut self,
-        repeats: usize,
-        seq: &SeedSequence,
-        threads: usize,
-    ) -> Vec<Option<f64>> {
-        self.prepare_estimator(seq);
-        batch::estimate_volume_batch_prepared(self, repeats, seq, threads)
     }
 
     fn estimate_volume<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Option<f64> {

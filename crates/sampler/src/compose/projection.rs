@@ -31,7 +31,6 @@ use cdb_constraint::GeneralizedTuple;
 use cdb_geometry::fiber::FiberTemplate;
 use cdb_geometry::{volume::polytope_volume, GammaGrid, HPolytope, Halfspace};
 
-use crate::batch;
 use crate::budget::{BudgetTrip, QueryBudget, PROJECTION_RETRY_CAP};
 use crate::compose::fiber_weight::{FiberVolume, FiberWeightCache, ProjectionParams};
 use crate::compose::stratified::{CellRange, CellSelection, CoarseMap, StratifiedCells};
@@ -696,18 +695,6 @@ impl RelationGenerator for ProjectionGenerator {
     fn budget_trip(&self) -> Option<BudgetTrip> {
         self.scratch.budget_trip()
     }
-
-    // Worker clones carry the current cache contents; memoized weights are
-    // pure functions of their cells, so a warm or cold clone draws the same
-    // stream.
-    fn sample_batch(
-        &mut self,
-        n: usize,
-        seq: &SeedSequence,
-        threads: usize,
-    ) -> Vec<Option<Vec<f64>>> {
-        batch::sample_batch_prepared(self, n, seq, threads)
-    }
 }
 
 impl RelationVolumeEstimator for ProjectionGenerator {
@@ -723,15 +710,6 @@ impl RelationVolumeEstimator for ProjectionGenerator {
     fn prepare_estimator(&mut self, _seq: &SeedSequence) {
         self.scratch.disarm_budget();
         self.ensure_selector();
-    }
-
-    fn estimate_volume_batch(
-        &mut self,
-        repeats: usize,
-        seq: &SeedSequence,
-        threads: usize,
-    ) -> Vec<Option<f64>> {
-        batch::estimate_volume_batch_prepared(self, repeats, seq, threads)
     }
 }
 

@@ -12,7 +12,6 @@ use rand::Rng;
 
 use cdb_constraint::GeneralizedRelation;
 
-use crate::batch;
 use crate::budget::{BudgetTrip, QueryBudget};
 use crate::compose::ObservabilityError;
 use crate::dfk::DfkSampler;
@@ -170,9 +169,6 @@ impl RelationGenerator for UnionGenerator {
     }
 
     fn sample<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Option<Vec<f64>> {
-        if crate::faults::forced_draw_failure() {
-            return None;
-        }
         self.scratch.arm_budget(&self.budget);
         self.ensure_initialized(rng);
         if self.rollback_if_init_tripped() {
@@ -214,16 +210,6 @@ impl RelationGenerator for UnionGenerator {
     fn budget_trip(&self) -> Option<BudgetTrip> {
         self.scratch.budget_trip()
     }
-
-    fn sample_batch(
-        &mut self,
-        n: usize,
-        seq: &SeedSequence,
-        threads: usize,
-    ) -> Vec<Option<Vec<f64>>> {
-        self.prepare(seq);
-        batch::sample_batch_prepared(self, n, seq, threads)
-    }
 }
 
 impl RelationVolumeEstimator for UnionGenerator {
@@ -231,20 +217,7 @@ impl RelationVolumeEstimator for UnionGenerator {
         RelationGenerator::prepare(self, seq);
     }
 
-    fn estimate_volume_batch(
-        &mut self,
-        repeats: usize,
-        seq: &SeedSequence,
-        threads: usize,
-    ) -> Vec<Option<f64>> {
-        self.prepare_estimator(seq);
-        batch::estimate_volume_batch_prepared(self, repeats, seq, threads)
-    }
-
     fn estimate_volume<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Option<f64> {
-        if crate::faults::forced_draw_failure() {
-            return None;
-        }
         self.scratch.arm_budget(&self.budget);
         self.ensure_initialized(rng);
         if self.rollback_if_init_tripped() {

@@ -1,76 +1,41 @@
 //! Deterministic fault injection for the resilience test-suite.
 //!
-//! A [`FaultPlan`] describes a reproducible failure scenario — worker panics
-//! at chosen batch item indices, a countdown of forced draw failures
-//! (standing in for oracle/LP breakage), and optional artificial budget
-//! pressure. Installing a plan with [`FaultPlan::install`] arms two hooks
-//! inside the production code:
+//! A [`FaultPlan`] describes a reproducible failure scenario: worker panics
+//! at chosen batch item indices, and a countdown of forced draw failures
+//! (standing in for oracle/LP breakage). It is a plain value with no
+//! process-global state. Whoever owns a plan decides where it applies —
+//! `cdb_core::SpatialDatabase` carries one and its item runner consults it:
 //!
-//! * the batch fan-out workers call the crate-private `before_item` hook
-//!   before each work item and panic when the plan injects a panic there;
-//! * `UnionGenerator::sample` calls the crate-private `forced_draw_failure`
-//!   hook at its head and fails the draw while the countdown is positive.
+//! * before each draw, [`FaultPlan::take_forced_draw_failure`] fails the
+//!   draw while the countdown is positive;
+//! * inside each fan-out task, [`FaultPlan::inject_worker_panic`] panics
+//!   when the plan injects a panic at that item.
 //!
-//! With no plan installed both hooks are a single relaxed atomic load — they
-//! consume no randomness and touch no query state, so the hook-free path is
-//! bitwise identical to a build without this module (gated by
-//! `tests/resilience.rs`).
-//!
-//! Installation is serialized by a global lock: [`FaultGuard`] holds it until
-//! dropped, so concurrent `#[test]`s that inject faults run one at a time and
-//! a plan can never leak into an unrelated query. While a guard is alive the
-//! process panic hook suppresses backtraces for payloads beginning with
-//! `"injected"`, keeping deliberate panics out of the test logs; the previous
-//! hook behavior is restored on drop.
+//! An empty plan (the default) answers both checks with a set lookup and an
+//! atomic load: it consumes no randomness and touches no query state, so a
+//! query under an empty plan is bitwise identical to one under no plan at
+//! all (gated by `tests/resilience.rs`). Because the plan travels with its
+//! owner, a plan armed for one database can never fire inside a query on
+//! another.
 
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::budget::QueryBudget;
-
-static ACTIVE: AtomicBool = AtomicBool::new(false);
-
-fn plan_slot() -> &'static RwLock<Option<FaultPlan>> {
-    static SLOT: OnceLock<RwLock<Option<FaultPlan>>> = OnceLock::new();
-    SLOT.get_or_init(|| RwLock::new(None))
-}
-
-fn install_lock() -> &'static Mutex<()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-}
-
-/// SplitMix64 mix, for deriving deterministic injection points from a seed.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// A seeded, deterministic description of the faults to inject.
+/// A deterministic description of the faults to inject.
 ///
-/// The plan is immutable once installed; the only interior state is the
-/// forced-failure countdown, which is shared across clones so concurrent
-/// batch workers drain a single counter.
-#[derive(Clone, Debug, Default)]
+/// The panic items are immutable; the only interior state is the
+/// forced-failure countdown, which concurrent batch workers drain as one
+/// shared counter.
+#[derive(Debug, Default)]
 pub struct FaultPlan {
-    seed: u64,
     panic_items: BTreeSet<usize>,
-    forced_draw_failures: Arc<AtomicU64>,
-    pressure: Option<QueryBudget>,
+    forced_draw_failures: AtomicU64,
 }
 
 impl FaultPlan {
-    /// Creates an empty plan. The seed only matters for the `*_seeded`
-    /// builders; two plans built the same way from the same seed inject at
-    /// the same points.
-    pub fn new(seed: u64) -> Self {
-        FaultPlan {
-            seed,
-            ..FaultPlan::default()
-        }
+    /// Creates an empty plan, which injects nothing.
+    pub fn new() -> Self {
+        FaultPlan::default()
     }
 
     /// Injects a worker panic when batch item `item` is about to run.
@@ -79,135 +44,33 @@ impl FaultPlan {
         self
     }
 
-    /// Injects a worker panic at a seed-derived item index below `n_items`.
-    pub fn with_worker_panic_seeded(mut self, n_items: usize) -> Self {
-        assert!(n_items > 0, "cannot seed a panic into an empty batch");
-        let item = (mix(self.seed ^ self.panic_items.len() as u64) % n_items as u64) as usize;
-        self.panic_items.insert(item);
-        self
-    }
-
-    /// Forces the next `count` generator draws to fail (a stand-in for
-    /// oracle/LP failures deep in the sampler).
+    /// Forces the next `count` draws to fail (a stand-in for oracle/LP
+    /// failures deep in the sampler).
     pub fn with_forced_draw_failures(self, count: u64) -> Self {
         self.forced_draw_failures.store(count, Ordering::SeqCst);
         self
     }
 
-    /// Records artificial budget pressure for the harness to apply to its
-    /// queries; retrieved with [`FaultPlan::pressure_budget`]. The production
-    /// code never reads this — budgets always flow through the explicit
-    /// [`QueryBudget`] APIs — but keeping it on the plan lets one value
-    /// describe a complete scenario.
-    pub fn with_budget_pressure(mut self, budget: QueryBudget) -> Self {
-        self.pressure = Some(budget);
-        self
-    }
-
-    /// The artificial budget pressure of this plan, unlimited when none.
-    pub fn pressure_budget(&self) -> QueryBudget {
-        self.pressure.clone().unwrap_or_default()
-    }
-
-    /// The batch item indices where this plan injects worker panics.
-    pub fn panic_items(&self) -> impl Iterator<Item = usize> + '_ {
-        self.panic_items.iter().copied()
-    }
-
-    /// Installs the plan process-wide, returning a guard that removes it when
-    /// dropped. Blocks until any previously installed plan is dropped, so
-    /// fault-injecting tests serialize instead of contaminating each other.
-    pub fn install(self) -> FaultGuard {
-        let lock = install_lock()
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        let previous_hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let injected = info
-                .payload()
-                .downcast_ref::<&str>()
-                .map(|s| s.starts_with("injected"))
-                .or_else(|| {
-                    info.payload()
-                        .downcast_ref::<String>()
-                        .map(|s| s.starts_with("injected"))
-                })
-                .unwrap_or(false);
-            if !injected {
-                previous_hook(info);
-            }
-        }));
-        *plan_slot()
-            .write()
-            .unwrap_or_else(|poisoned| poisoned.into_inner()) = Some(self);
-        ACTIVE.store(true, Ordering::SeqCst);
-        FaultGuard { _lock: lock }
-    }
-}
-
-/// Keeps an installed [`FaultPlan`] armed; dropping it disarms the hooks and
-/// restores the default panic hook.
-pub struct FaultGuard {
-    _lock: MutexGuard<'static, ()>,
-}
-
-impl Drop for FaultGuard {
-    fn drop(&mut self) {
-        ACTIVE.store(false, Ordering::SeqCst);
-        *plan_slot()
-            .write()
-            .unwrap_or_else(|poisoned| poisoned.into_inner()) = None;
-        // take_hook leaves the default hook installed, which is what every
-        // non-injecting test in the process expects.
-        let _ = std::panic::take_hook();
-    }
-}
-
-fn with_plan<T>(f: impl FnOnce(&FaultPlan) -> T) -> Option<T> {
-    plan_slot()
-        .read()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-        .as_ref()
-        .map(f)
-}
-
-/// Batch-worker hook: panics if the installed plan injects a worker panic at
-/// this item. One relaxed atomic load when no plan is installed.
-#[inline]
-pub(crate) fn before_item(item: usize) {
-    if !ACTIVE.load(Ordering::Relaxed) {
-        return;
-    }
-    let hit = with_plan(|plan| plan.panic_items.contains(&item)).unwrap_or(false);
-    if hit {
-        panic!("injected fault: worker panic at item {item}");
-    }
-}
-
-/// Draw hook: returns `true` (and consumes one countdown tick) while the
-/// installed plan still forces draw failures. One relaxed atomic load when no
-/// plan is installed.
-#[inline]
-pub(crate) fn forced_draw_failure() -> bool {
-    if !ACTIVE.load(Ordering::Relaxed) {
-        return false;
-    }
-    with_plan(|plan| {
-        let counter = &plan.forced_draw_failures;
-        loop {
-            let current = counter.load(Ordering::SeqCst);
-            if current == 0 {
-                return false;
-            }
-            if counter
-                .compare_exchange(current, current - 1, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
-            {
-                return true;
-            }
+    /// Panics with an `"injected fault: …"` payload if the plan injects a
+    /// worker panic at `item`. Call it inside a fan-out task, where the
+    /// worker's panic boundary contains it.
+    #[inline]
+    pub fn inject_worker_panic(&self, item: usize) {
+        if self.panic_items.contains(&item) {
+            panic!("injected fault: worker panic at item {item}");
         }
-    })
-    .unwrap_or(false)
+    }
+
+    /// Returns `true`, consuming one countdown tick, while the plan still
+    /// forces draw failures.
+    #[inline]
+    pub fn take_forced_draw_failure(&self) -> bool {
+        self.forced_draw_failures
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |left| {
+                left.checked_sub(1)
+            })
+            .is_ok()
+    }
 }
 
 #[cfg(test)]
@@ -215,33 +78,25 @@ mod tests {
     use super::*;
 
     #[test]
-    fn hooks_are_inert_without_a_plan() {
-        before_item(0);
-        assert!(!forced_draw_failure());
+    fn empty_plan_injects_nothing() {
+        let plan = FaultPlan::new();
+        plan.inject_worker_panic(0);
+        assert!(!plan.take_forced_draw_failure());
     }
 
     #[test]
-    fn plan_arms_and_disarms_with_the_guard() {
-        {
-            let _guard = FaultPlan::new(1).with_forced_draw_failures(2).install();
-            assert!(forced_draw_failure());
-            assert!(forced_draw_failure());
-            assert!(!forced_draw_failure());
-        }
-        assert!(!forced_draw_failure());
+    fn forced_failures_count_down() {
+        let plan = FaultPlan::new().with_forced_draw_failures(2);
+        assert!(plan.take_forced_draw_failure());
+        assert!(plan.take_forced_draw_failure());
+        assert!(!plan.take_forced_draw_failure());
     }
 
     #[test]
-    fn seeded_panic_items_are_reproducible() {
-        let a: Vec<usize> = FaultPlan::new(9)
-            .with_worker_panic_seeded(64)
-            .panic_items()
-            .collect();
-        let b: Vec<usize> = FaultPlan::new(9)
-            .with_worker_panic_seeded(64)
-            .panic_items()
-            .collect();
-        assert_eq!(a, b);
-        assert!(a[0] < 64);
+    #[should_panic(expected = "injected fault: worker panic at item 3")]
+    fn worker_panic_fires_at_its_item_only() {
+        let plan = FaultPlan::new().with_worker_panic_at(3);
+        plan.inject_worker_panic(2);
+        plan.inject_worker_panic(3);
     }
 }

@@ -88,7 +88,7 @@ pub use compose::projection::{ProjectionGenerator, ProjectionWarmState};
 pub use compose::stratified::{AliasTable, CellRange, CellSelection, StratifiedCells};
 pub use compose::union::UnionGenerator;
 pub use dfk::DfkSampler;
-pub use faults::{FaultGuard, FaultPlan};
+pub use faults::FaultPlan;
 pub use fixed_dim::FixedDimSampler;
 pub use oracle::{ConvexBody, MembershipOracle};
 pub use params::{GeneratorParams, RelationGenerator, RelationVolumeEstimator, SeedSequence};

@@ -16,8 +16,7 @@ use crate::walk::WalkKind;
 /// distinct children produce statistically independent [`StdRng`] streams
 /// while remaining a pure function of `(root seed, path)`.
 ///
-/// The batch samplers rely on one convention, shared by the sequential
-/// defaults and the parallel overrides so that results are **bitwise
+/// The batch samplers rely on one convention so that results are **bitwise
 /// identical for any worker count**:
 ///
 /// * child `0` ([`SeedSequence::setup_stream`]) funds one-time lazy setup
@@ -215,26 +214,32 @@ pub trait RelationGenerator {
     /// [`SeedSequence::item_stream`]`(i)`), splitting the items across up to
     /// `threads` worker threads (`0` means one per available core).
     ///
-    /// Because every item's randomness is a pure function of `(seq, i)` and
-    /// setup is funded by the dedicated setup stream, the output is
-    /// **identical for any thread count** — including this sequential default
-    /// implementation, which implementors override with a parallel fan-out.
-    /// Failed draws are reported as `None` so indices stay aligned with
-    /// streams. Parallel overrides run on worker-local clones, so batch
-    /// calls do not update diagnostic counters such as the composed
-    /// generators' `acceptance_rate()` (see
-    /// [`crate::batch::sample_batch_prepared`]).
+    /// The generator is [prepared](RelationGenerator::prepare) first, then
+    /// every worker samples from its own clone. Because every item's
+    /// randomness is a pure function of `(seq, i)` and setup is funded by the
+    /// dedicated setup stream, the output is **identical for any thread
+    /// count**. Failed draws are reported as `None` so indices stay aligned
+    /// with streams. Workers mutate clones, so batch calls do not update
+    /// diagnostic counters such as the composed generators'
+    /// `acceptance_rate()`; the poly-relatedness signal itself is unaffected,
+    /// as each item still reports failure through its own `None`.
     fn sample_batch(
         &mut self,
         n: usize,
         seq: &SeedSequence,
         threads: usize,
-    ) -> Vec<Option<Vec<f64>>> {
-        let _ = threads;
+    ) -> Vec<Option<Vec<f64>>>
+    where
+        Self: Clone + Send + Sync,
+    {
         self.prepare(seq);
-        (0..n)
-            .map(|i| self.sample(&mut seq.item_stream(i).rng()))
-            .collect()
+        let generator = &*self;
+        crate::batch::fan_out(
+            n,
+            threads,
+            || generator.clone(),
+            |g, i| g.sample(&mut seq.item_stream(i).rng()),
+        )
     }
 }
 
@@ -257,20 +262,26 @@ pub trait RelationVolumeEstimator {
     /// Runs `repeats` independent volume estimates, one per child stream of
     /// `seq`, across up to `threads` worker threads (`0` means one per
     /// available core). Same stream convention — setup from the setup
-    /// stream, repeat `i` from [`SeedSequence::item_stream`]`(i)` — and
-    /// therefore the same thread-count-independence guarantee as
-    /// [`RelationGenerator::sample_batch`].
+    /// stream, repeat `i` from [`SeedSequence::item_stream`]`(i)` on a
+    /// worker-local clone — and therefore the same thread-count-independence
+    /// guarantee as [`RelationGenerator::sample_batch`].
     fn estimate_volume_batch(
         &mut self,
         repeats: usize,
         seq: &SeedSequence,
         threads: usize,
-    ) -> Vec<Option<f64>> {
-        let _ = threads;
+    ) -> Vec<Option<f64>>
+    where
+        Self: Clone + Send + Sync,
+    {
         self.prepare_estimator(seq);
-        (0..repeats)
-            .map(|i| self.estimate_volume(&mut seq.item_stream(i).rng()))
-            .collect()
+        let estimator = &*self;
+        crate::batch::fan_out(
+            repeats,
+            threads,
+            || estimator.clone(),
+            |e, i| e.estimate_volume(&mut seq.item_stream(i).rng()),
+        )
     }
 
     /// Median of the successful repeats of
@@ -282,7 +293,10 @@ pub trait RelationVolumeEstimator {
         repeats: usize,
         seq: &SeedSequence,
         threads: usize,
-    ) -> Option<f64> {
+    ) -> Option<f64>
+    where
+        Self: Clone + Send + Sync,
+    {
         let mut estimates: Vec<f64> = self
             .estimate_volume_batch(repeats.max(1), seq, threads)
             .into_iter()

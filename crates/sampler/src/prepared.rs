@@ -373,7 +373,6 @@ mod tests {
 
     #[test]
     fn poisoned_shard_is_discarded_and_rebuilt() {
-        let _quiet = crate::faults::FaultPlan::new(0).install();
         let store: PreparedStore<u64, u64> = PreparedStore::new(4);
         store.get_or_prepare(&1, || 100);
         assert!(store.contains(&1));

@@ -28,7 +28,7 @@ use cdb_core::SpatialDbError;
 use cdb_sampler::compose::ObservabilityError;
 use cdb_sampler::BudgetTrip;
 
-use crate::json::Json;
+use crate::json::{Json, JsonError};
 
 /// A service-level error: HTTP status plus a machine-readable body.
 #[derive(Clone, Debug)]
@@ -125,6 +125,12 @@ pub fn trip_code(trip: BudgetTrip) -> &'static str {
         BudgetTrip::Attempts => "attempts",
         BudgetTrip::Deadline => "deadline",
         BudgetTrip::Cancelled => "cancelled",
+    }
+}
+
+impl From<JsonError> for AppError {
+    fn from(err: JsonError) -> Self {
+        AppError::bad_json(err.to_string())
     }
 }
 

@@ -1,10 +1,9 @@
 //! Request routing and the per-endpoint handlers.
 //!
-//! Every handler is a thin pipeline over the unified
+//! Every handler is a thin pipeline over the
 //! [`SpatialDatabase::query`] surface: decode the request
 //! (`api_types`) → resolve the budget (request > per-relation override >
 //! config default) → build a [`QuerySpec`] → run it → encode the outcome.
-//! No handler touches a legacy `approx_*` entry point.
 //!
 //! Seeded execution: a request carrying `"seed"` draws from
 //! `SeedSequence::new(seed).item_stream(stream)`; unseeded requests draw
@@ -117,7 +116,7 @@ fn body_json(state: &AppState, request: &Request) -> Result<Json, AppError> {
     }
     let text = std::str::from_utf8(&request.body)
         .map_err(|_| AppError::bad_json("body is not valid UTF-8"))?;
-    parse(text, state.config.max_json_depth).map_err(|e| AppError::bad_json(e.to_string()))
+    Ok(parse(text, state.config.max_json_depth)?)
 }
 
 /// Process-entropy seed for unseeded requests: a time-mixed counter, so

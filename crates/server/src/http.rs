@@ -8,11 +8,14 @@
 //! pipelining tricks, and expect/continue are deliberately out of scope —
 //! a request using them is rejected rather than misparsed.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, Read, Write};
 use std::net::TcpStream;
 
-/// Maximum accepted size of the request line + headers block.
-const MAX_HEAD_BYTES: usize = 8 * 1024;
+use crate::error::AppError;
+
+/// Maximum accepted size of the request line + headers block; no single
+/// line is buffered beyond it.
+pub const MAX_HEAD_BYTES: usize = 8 * 1024;
 
 /// A parsed HTTP request.
 #[derive(Debug)]
@@ -68,13 +71,29 @@ pub enum ReadError {
     Io(std::io::Error),
 }
 
+impl ReadError {
+    /// The answer to a request rejected before routing: 413
+    /// `body_too_large` for a declared body over the limit, 400 `bad_json`
+    /// for malformed bytes. `None` when the connection simply ends (closed,
+    /// idle or failed socket) and there is nobody to answer.
+    pub fn rejection(&self) -> Option<AppError> {
+        match self {
+            ReadError::Malformed(message) => {
+                Some(AppError::bad_json(format!("malformed request: {message}")))
+            }
+            ReadError::TooLarge { declared, limit } => {
+                Some(AppError::body_too_large(*declared, *limit))
+            }
+            ReadError::Closed | ReadError::Idle | ReadError::Io(_) => None,
+        }
+    }
+}
+
 /// Reads one request from `reader`, enforcing `max_body` on the declared
-/// `Content-Length`. `TooLarge` is returned *before* the body is consumed,
-/// so the caller must close the connection after answering it.
-pub fn read_request(
-    reader: &mut BufReader<TcpStream>,
-    max_body: usize,
-) -> Result<Request, ReadError> {
+/// `Content-Length` and [`MAX_HEAD_BYTES`] on every head line as it is
+/// read. `TooLarge` is returned *before* the body is consumed, so the
+/// caller must close the connection after answering it.
+pub fn read_request<R: BufRead>(reader: &mut R, max_body: usize) -> Result<Request, ReadError> {
     let request_line = read_line(reader, true)?;
     let mut parts = request_line.split(' ');
     let (method, path, version) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
@@ -138,17 +157,24 @@ pub fn read_request(
     }
     if declared > 0 {
         let mut body = vec![0u8; declared];
-        reader.read_exact(&mut body).map_err(ReadError::Io)?;
+        reader.read_exact(&mut body).map_err(|e| match e.kind() {
+            std::io::ErrorKind::UnexpectedEof => {
+                ReadError::Malformed("connection truncated mid-body".into())
+            }
+            _ => ReadError::Io(e),
+        })?;
         request.body = body;
     }
     Ok(request)
 }
 
-/// Reads one CRLF (or bare-LF) terminated line. `at_start` distinguishes a
-/// clean keep-alive close (EOF before any byte) from a truncated request.
-fn read_line(reader: &mut BufReader<TcpStream>, at_start: bool) -> Result<String, ReadError> {
+/// Reads one CRLF (or bare-LF) terminated line, buffering at most
+/// `MAX_HEAD_BYTES + 1` bytes of it. `at_start` distinguishes a clean
+/// keep-alive close (EOF before any byte) from a truncated request.
+fn read_line<R: BufRead>(reader: &mut R, at_start: bool) -> Result<String, ReadError> {
     let mut line = String::new();
-    match reader.read_line(&mut line) {
+    let limit = MAX_HEAD_BYTES as u64 + 1;
+    match reader.by_ref().take(limit).read_line(&mut line) {
         Ok(0) if at_start => Err(ReadError::Closed),
         Ok(0) => Err(ReadError::Malformed(
             "connection truncated mid-request".into(),

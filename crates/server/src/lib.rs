@@ -14,9 +14,8 @@
 //! * [`error`] — [`AppError`] and the
 //!   `SpatialDbError → status` mapping table.
 //! * [`api_types`] — request/response structs and their JSON codecs.
-//! * [`handlers`] — routing + per-endpoint pipelines over the unified
-//!   [`SpatialDatabase::query`] surface (never the legacy `approx_*`
-//!   entry points).
+//! * [`handlers`] — routing + per-endpoint pipelines over the
+//!   [`SpatialDatabase::query`] surface.
 //! * [`metrics`] — per-endpoint counters and latency accumulators.
 //! * [`pool`] — the worker threadpool.
 //! * [`client`] — a blocking loopback client for tests and the bench
@@ -192,26 +191,17 @@ fn serve_connection(state: &Arc<AppState>, stop: &AtomicBool, stream: TcpStream)
                 }
                 continue;
             }
-            Err(ReadError::Closed) => return,
-            Err(ReadError::TooLarge { declared, limit }) => {
-                state.metrics.record_rejection();
-                let error = AppError::body_too_large(declared, limit);
-                // The unread body still sits on the wire: answer and close.
-                let _ = http::write_response(
-                    &mut write_half,
-                    error.status,
-                    &error.to_json().render(),
-                    true,
-                );
+            Err(error) => {
+                // A rejected request is answered and the connection closed
+                // (an oversized body still sits unread on the wire); a
+                // closed or failed socket just ends the session.
+                if let Some(rejection) = error.rejection() {
+                    state.metrics.record_rejection();
+                    let body = rejection.to_json().render();
+                    let _ = http::write_response(&mut write_half, rejection.status, &body, true);
+                }
                 return;
             }
-            Err(ReadError::Malformed(message)) => {
-                state.metrics.record_rejection();
-                let error = AppError::bad_json(format!("malformed request: {message}"));
-                let _ = http::write_response(&mut write_half, 400, &error.to_json().render(), true);
-                return;
-            }
-            Err(ReadError::Io(_)) => return,
         };
 
         let close = request.wants_close();

@@ -107,11 +107,11 @@ pub fn polytope_soup<R: Rng + ?Sized>(spec: &SoupSpec, rng: &mut R) -> Soup {
 /// weights (they need not sum to 1; zero weight disables a class).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SessionMix {
-    /// Weight of point-sampling (`approx_generate`) requests.
+    /// Weight of point-sampling requests.
     pub sample: f64,
-    /// Weight of volume-estimation (`approx_volume`) requests.
+    /// Weight of volume-estimation requests.
     pub volume: f64,
-    /// Weight of reconstruction (`approx_query`) requests.
+    /// Weight of reconstruction requests.
     pub reconstruction: f64,
 }
 

@@ -8,7 +8,7 @@
 use std::time::Instant;
 
 use cdb_constraint::{parse_formula, GeneralizedRelation};
-use cdb_core::SpatialDatabase;
+use cdb_core::{QuerySpec, SpatialDatabase};
 use cdb_geometry::volume::{symmetric_difference_volume, union_volume};
 use cdb_sampler::GeneratorParams;
 use rand::rngs::StdRng;
@@ -48,9 +48,12 @@ fn main() {
 
     // Sampling-based reconstruction.
     let t1 = Instant::now();
-    let approx = db
-        .approx_query(&query, 2, &mut rng)
+    let outcome = db
+        .query_with_rng(&QuerySpec::reconstruct("query", query.clone(), 2), &mut rng)
         .expect("reconstruction succeeds");
+    let approx = outcome
+        .relation()
+        .expect("a reconstruction holds a relation");
     let sampling_time = t1.elapsed();
 
     let sd = symmetric_difference_volume(&exact.to_polytopes(), &approx.to_polytopes());

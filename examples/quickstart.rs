@@ -4,8 +4,8 @@
 //! Run with `cargo run --release --example quickstart`.
 
 use cdb_constraint::{parse_formula, GeneralizedRelation};
-use cdb_core::SpatialDatabase;
-use cdb_sampler::{GeneratorParams, SeedSequence};
+use cdb_core::{QuerySpec, SpatialDatabase};
+use cdb_sampler::GeneratorParams;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -21,11 +21,12 @@ fn main() {
     db.insert("Park", park);
 
     // 1. Almost-uniform generation (Definition 2.2 / Algorithm 1).
-    let points = db
-        .approx_generate_many("Zone", 5, &mut rng)
+    let sample = db
+        .query_with_rng(&QuerySpec::sample("Zone", 5).partial(), &mut rng)
         .expect("Zone is observable");
+    let points: Vec<&Vec<f64>> = sample.points().iter().flatten().collect();
     println!("five almost-uniform points of Zone:");
-    for p in &points {
+    for p in points.iter().copied() {
         println!(
             "  ({:.3}, {:.3})  inside = {}",
             p[0],
@@ -44,23 +45,23 @@ fn main() {
     // 1b. The same generation through the parallel batch API: one seed tree,
     //     one child stream per point, fanned out over all cores — and the
     //     result is bitwise identical for any thread count.
-    let seq = SeedSequence::new(7);
-    let batch = db
-        .approx_generate_batch("Zone", 200, &seq, 0)
-        .expect("Zone is observable");
-    let produced = batch.iter().filter(|p| p.is_some()).count();
+    let spec = QuerySpec::sample("Zone", 200).with_seed(7).partial();
+    let batch = db.query(&spec).expect("Zone is observable");
+    let produced = batch.completed;
     println!("batch of 200 points over all cores: {produced} produced");
     assert!(produced > 150, "too many batch failures");
     assert_eq!(
-        batch,
-        db.approx_generate_batch("Zone", 200, &seq, 1).unwrap(),
+        batch.points(),
+        db.query(&spec.with_threads(1)).unwrap().points(),
         "batch output must not depend on the thread count"
     );
 
     // 2. Volume estimation (Theorem 4.2). The exact area is 4*2 + 3*3 - 1*2 = 15.
     let volume = db
-        .approx_volume("Zone", &mut rng)
-        .expect("Zone is observable");
+        .query_with_rng(&QuerySpec::volume("Zone", 1), &mut rng)
+        .expect("Zone is observable")
+        .volume()
+        .expect("a fail-fast volume query holds its estimate");
     println!("estimated area of Zone : {volume:.2}   (exact: 15.00)");
     assert!(
         (volume - 15.0).abs() < 0.5 * 15.0,
@@ -72,9 +73,12 @@ fn main() {
     //    answer computed with quantifier elimination.
     let query = parse_formula("Zone(x0, x1) and Park(x0, x1)", 2).expect("valid query");
     let exact = db.evaluate_exact(&query, 2).expect("symbolic evaluation");
-    let approx = db
-        .approx_query(&query, 2, &mut rng)
+    let outcome = db
+        .query_with_rng(&QuerySpec::reconstruct("query", query, 2), &mut rng)
         .expect("approximate evaluation");
+    let approx = outcome
+        .relation()
+        .expect("a reconstruction holds a relation");
     println!(
         "query 'Zone ∩ Park': exact answer has {} convex piece(s), reconstruction has {}",
         exact.tuples().len(),

@@ -20,7 +20,7 @@ fn params() -> GeneratorParams {
 /// `sample_batch` and `estimate_volume_batch` are invariant.
 fn assert_batches_invariant<G, F>(make: F, label: &str)
 where
-    G: RelationGenerator + RelationVolumeEstimator,
+    G: RelationGenerator + RelationVolumeEstimator + Clone + Send + Sync,
     F: Fn() -> G,
 {
     let seq = SeedSequence::new(0xC0FFEE);
@@ -473,7 +473,7 @@ fn spatial_database_store_states_are_invisible_across_thread_counts() {
     // disabled) × (1 / 2 / 8 / auto threads), all against the
     // disabled-store single-threaded baseline. The shared axis is covered
     // by `tests/prepared_store.rs`.
-    use cdb_core::SpatialDatabase;
+    use cdb_core::{QuerySpec, SpatialDatabase};
     let populate = |db: &mut SpatialDatabase| {
         db.insert(
             "A",
@@ -486,19 +486,31 @@ fn spatial_database_store_states_are_invisible_across_thread_counts() {
         );
     };
     let seq = SeedSequence::new(0xDBA1E5);
+    let points = |db: &SpatialDatabase, name: &str, n: usize, threads: usize| {
+        let spec = QuerySpec::sample(name, n)
+            .with_seed_sequence(seq)
+            .with_threads(threads)
+            .partial();
+        db.query(&spec).unwrap().points().to_vec()
+    };
+    let volume = |db: &SpatialDatabase, threads: usize| {
+        let spec = QuerySpec::volume("A", 4)
+            .with_seed_sequence(seq)
+            .with_threads(threads)
+            .partial();
+        db.query(&spec).unwrap().volume().unwrap()
+    };
     let mut disabled = SpatialDatabase::with_params(params()).with_store_capacity(0);
     populate(&mut disabled);
-    let baseline = disabled.approx_generate_batch("A", 64, &seq, 1).unwrap();
-    let baseline_vol = disabled.approx_volume_batch("A", 4, &seq, 1).unwrap();
+    let baseline = points(&disabled, "A", 64, 1);
+    let baseline_vol = volume(&disabled, 1);
     assert!(baseline.iter().filter(|p| p.is_some()).count() > 32);
 
     for threads in [1usize, 2, 8, 0] {
         // Disabled.
         assert_eq!(
             baseline,
-            disabled
-                .approx_generate_batch("A", 64, &seq, threads)
-                .unwrap(),
+            points(&disabled, "A", 64, threads),
             "disabled store differs at {threads} threads"
         );
         // Cold, then warm, on one db.
@@ -506,18 +518,18 @@ fn spatial_database_store_states_are_invisible_across_thread_counts() {
         populate(&mut db);
         assert_eq!(
             baseline,
-            db.approx_generate_batch("A", 64, &seq, threads).unwrap(),
+            points(&db, "A", 64, threads),
             "cold store differs at {threads} threads"
         );
         assert_eq!(
             baseline,
-            db.approx_generate_batch("A", 64, &seq, threads).unwrap(),
+            points(&db, "A", 64, threads),
             "warm store differs at {threads} threads"
         );
         assert!(db.store_stats().hits > 0);
         assert_eq!(
             baseline_vol,
-            db.approx_volume_batch("A", 4, &seq, threads).unwrap(),
+            volume(&db, threads),
             "warm store volume differs at {threads} threads"
         );
         // Evicting: capacity 1, alternating names.
@@ -526,10 +538,10 @@ fn spatial_database_store_states_are_invisible_across_thread_counts() {
         for _ in 0..2 {
             assert_eq!(
                 baseline,
-                tiny.approx_generate_batch("A", 64, &seq, threads).unwrap(),
+                points(&tiny, "A", 64, threads),
                 "evicting store differs at {threads} threads"
             );
-            tiny.approx_generate_batch("B", 8, &seq, 1).unwrap();
+            points(&tiny, "B", 8, 1);
         }
         assert!(tiny.store_stats().evictions > 0);
     }
@@ -676,34 +688,30 @@ fn load_harness_results_are_thread_count_invariant() {
 }
 
 // ---------------------------------------------------------------------------
-// Unified-query parity: the legacy `approx_*` names are thin wrappers over
-// `SpatialDatabase::query` / `query_with_rng`. This suite pins that a
-// directly-built `QuerySpec` reproduces each legacy entry point **bitwise**
-// across the store-state × thread-count axis product, so neither surface
-// can drift from the other (the server binds only the new surface; the
-// legacy names are what every pre-existing caller holds).
+// Query parity: `SpatialDatabase::query` and `query_with_rng` run every
+// sample and volume item through one runner over an attached copy of the
+// relation's prepared `UnionGenerator`. This suite pins both execution modes
+// **bitwise** against a raw `UnionGenerator` prepared from the database's
+// preparation seed, across the store-state × thread-count axis product, so
+// the runner can never drift from the generator it drives.
 // ---------------------------------------------------------------------------
 
 #[test]
 fn unified_query_matches_legacy_entry_points_bitwise() {
     use cdb_constraint::parse_formula;
     use cdb_core::{QuerySpec, SpatialDatabase};
+    use cdb_reconstruct::PositiveQueryEstimator;
     use cdb_sampler::QueryBudget;
 
+    let relation_a = GeneralizedRelation::from_box_f64(&[0.0, 0.0], &[1.0, 1.0])
+        .union(&GeneralizedRelation::from_box_f64(&[2.0, 0.0], &[3.0, 2.0]));
     let populate = |db: &mut SpatialDatabase| {
-        db.insert(
-            "A",
-            GeneralizedRelation::from_box_f64(&[0.0, 0.0], &[1.0, 1.0])
-                .union(&GeneralizedRelation::from_box_f64(&[2.0, 0.0], &[3.0, 2.0])),
-        );
+        db.insert("A", relation_a.clone());
         db.insert(
             "B",
             GeneralizedRelation::from_box_f64(&[0.0, 0.0], &[2.0, 1.0]),
         );
     };
-    // Both sides of every comparison get their own database, driven through
-    // the identical call sequence, so their store trajectories (cold → warm,
-    // evictions) match call for call.
     let fresh = |capacity: Option<usize>| {
         let mut db = match capacity {
             Some(c) => SpatialDatabase::with_params(params()).with_store_capacity(c),
@@ -715,129 +723,105 @@ fn unified_query_matches_legacy_entry_points_bitwise() {
     let seq = SeedSequence::new(0x5EC7_1E6A);
     let conjunction = parse_formula("A(x0, x1) and B(x0, x1)", 2).unwrap();
 
+    // The reference: a raw generator, prepared once from the preparation
+    // seed of a disabled-store database and never touched by a store.
+    let disabled = fresh(Some(0));
+    let mut raw = UnionGenerator::new(&relation_a, params()).unwrap();
+    raw.prepare(&disabled.preparation_seed("A").unwrap());
+    let want_points = raw.clone().sample_batch(32, &seq, 1);
+    let want_volume = raw.clone().estimate_volume_median(4, &seq, 1).unwrap();
+    assert!(want_points.iter().filter(|p| p.is_some()).count() > 16);
+    let budget = QueryBudget::unlimited().with_max_steps(1 << 40);
+    let mut budgeted = raw.clone();
+    budgeted.set_budget(budget.clone());
+    let want_point = budgeted.sample(&mut seq.item_stream(3).rng());
+    let want_estimate = budgeted.estimate_volume(&mut seq.item_stream(4).rng());
+    let mut stream = seq.item_stream(5).rng();
+    let mut sequential = raw.clone();
+    let want_many: Vec<_> = (0..12).map(|_| sequential.sample(&mut stream)).collect();
+    let want_relation = PositiveQueryEstimator::new(params(), params().eps, params().delta)
+        .estimate(
+            disabled.database(),
+            &conjunction,
+            2,
+            &mut seq.item_stream(0).rng(),
+        )
+        .unwrap();
+
     // Store states: disabled (always rebuilds), default (cold → warm), and
     // capacity-1 (evicting between rounds).
     for capacity in [Some(0), None, Some(1)] {
         for &threads in &THREAD_COUNTS {
-            let legacy_db = fresh(capacity);
-            let unified_db = fresh(capacity);
-
+            let db = fresh(capacity);
             // Two rounds: under the default store the first is cold and the
             // second warm; under capacity 1 the interleaved touch of "B"
             // evicts "A" between rounds.
             for round in 0..2 {
                 let label = format!("capacity {capacity:?}, {threads} threads, round {round}");
-                let legacy = legacy_db
-                    .approx_generate_batch("A", 32, &seq, threads)
-                    .unwrap();
-                let unified = unified_db
-                    .query(
-                        &QuerySpec::sample("A", 32)
-                            .with_seed_sequence(seq)
-                            .with_threads(threads)
-                            .partial(),
-                    )
-                    .unwrap()
-                    .into_points_batch()
-                    .results;
-                assert!(legacy.iter().filter(|p| p.is_some()).count() > 16);
-                assert_eq!(legacy, unified, "sample batch drifted ({label})");
-
-                let legacy_vol = legacy_db
-                    .approx_volume_batch("A", 4, &seq, threads)
-                    .unwrap();
-                let unified_vol = unified_db
-                    .query(
-                        &QuerySpec::volume("A", 4)
-                            .with_seed_sequence(seq)
-                            .with_threads(threads)
-                            .partial(),
-                    )
-                    .unwrap()
-                    .volume()
-                    .expect("volume batch produced no estimate");
+                let seeded = |spec: QuerySpec| {
+                    let spec = spec.with_seed_sequence(seq).with_threads(threads);
+                    db.query(&spec.partial()).unwrap()
+                };
                 assert_eq!(
-                    legacy_vol.to_bits(),
-                    unified_vol.to_bits(),
-                    "volume median drifted ({label})"
+                    seeded(QuerySpec::sample("A", 32)).points(),
+                    want_points.as_slice(),
+                    "seeded sample drifted ({label})"
                 );
-
-                legacy_db.approx_generate_batch("B", 4, &seq, 1).unwrap();
-                unified_db
-                    .query(&QuerySpec::sample("B", 4).with_seed_sequence(seq).partial())
-                    .unwrap();
+                assert_eq!(
+                    seeded(QuerySpec::volume("A", 4)).volume().map(f64::to_bits),
+                    Some(want_volume.to_bits()),
+                    "seeded volume median drifted ({label})"
+                );
+                seeded(QuerySpec::sample("B", 4));
             }
 
-            // Sequential budgeted entry points under an identical rng stream.
-            let budget = QueryBudget::unlimited().with_max_steps(1 << 40);
-            let legacy_pt = legacy_db
-                .approx_generate_budgeted("A", &budget, &mut seq.item_stream(3).rng())
-                .unwrap();
-            let unified_pt = unified_db
+            // Caller-funded items under an identical rng stream.
+            let point = db
                 .query_with_rng(
                     &QuerySpec::sample("A", 1).with_budget(&budget),
                     &mut seq.item_stream(3).rng(),
                 )
-                .unwrap()
-                .into_points_batch()
-                .results
-                .into_iter()
-                .flatten()
-                .next()
                 .unwrap();
-            assert_eq!(legacy_pt, unified_pt, "budgeted draw drifted");
-
-            let legacy_vol = legacy_db
-                .approx_volume_budgeted("A", &budget, &mut seq.item_stream(4).rng())
-                .unwrap();
-            let unified_vol = unified_db
+            assert_eq!(
+                point.points(),
+                std::slice::from_ref(&want_point),
+                "budgeted draw drifted"
+            );
+            let estimate = db
                 .query_with_rng(
                     &QuerySpec::volume("A", 1).with_budget(&budget),
                     &mut seq.item_stream(4).rng(),
                 )
-                .unwrap()
-                .volume()
                 .unwrap();
-            assert_eq!(legacy_vol.to_bits(), unified_vol.to_bits());
-
-            // `approx_generate_many` (skip semantics) = partial query with
-            // the `None` slots dropped.
-            let legacy_many = legacy_db
-                .approx_generate_many("A", 12, &mut seq.item_stream(5).rng())
-                .unwrap();
-            let unified_many: Vec<Vec<f64>> = unified_db
+            assert_eq!(
+                estimate.volume().map(f64::to_bits),
+                want_estimate.map(f64::to_bits),
+                "budgeted estimate drifted"
+            );
+            let many = db
                 .query_with_rng(
                     &QuerySpec::sample("A", 12).partial(),
                     &mut seq.item_stream(5).rng(),
                 )
-                .unwrap()
-                .into_points_batch()
-                .results
-                .into_iter()
-                .flatten()
-                .collect();
-            assert_eq!(legacy_many, unified_many, "generate_many drifted");
+                .unwrap();
+            assert_eq!(many.points(), want_many.as_slice(), "item stream drifted");
 
-            // Reconstruction: compare the relations' full debug renderings
-            // (floats print shortest-roundtrip, so textual equality is
-            // bitwise equality).
-            let legacy_rel = legacy_db
-                .approx_query(&conjunction, 2, &mut seq.item_stream(6).rng())
+            // Reconstruction: the seeded mode draws from item stream 0, so
+            // both modes equal the raw estimator on that stream. Compare the
+            // relations' full debug renderings (floats print
+            // shortest-roundtrip, so textual equality is bitwise equality).
+            let spec = QuerySpec::reconstruct("A", conjunction.clone(), 2);
+            let seeded = db.query(&spec.clone().with_seed_sequence(seq)).unwrap();
+            let funded = db
+                .query_with_rng(&spec, &mut seq.item_stream(0).rng())
                 .unwrap();
-            let unified_outcome = unified_db
-                .query_with_rng(
-                    &QuerySpec::reconstruct("A", conjunction.clone(), 2),
-                    &mut seq.item_stream(6).rng(),
-                )
-                .unwrap();
-            let unified_rel = unified_outcome
-                .relation()
-                .expect("reconstruction outcome holds a relation");
-            assert_eq!(
-                format!("{legacy_rel:?}"),
-                format!("{unified_rel:?}"),
-                "reconstruction drifted"
-            );
+            for outcome in [&seeded, &funded] {
+                assert_eq!(
+                    format!("{:?}", outcome.relation().unwrap()),
+                    format!("{want_relation:?}"),
+                    "reconstruction drifted"
+                );
+            }
         }
     }
 }

@@ -2,7 +2,7 @@
 //! volume estimates and reconstructed relations.
 
 use cdb_constraint::{parse_formula, GeneralizedRelation};
-use cdb_core::SpatialDatabase;
+use cdb_core::{QuerySpec, SpatialDatabase};
 use cdb_geometry::volume::{polytope_volume, symmetric_difference_volume, union_volume};
 use cdb_reconstruct::{ConvexReconstructor, ProjectionQueryEstimator};
 use cdb_sampler::{
@@ -164,7 +164,9 @@ fn end_to_end_query_through_the_facade() {
     );
     let query = parse_formula("Zone(x0, x1) and Road(x0, x1)", 2).unwrap();
     let exact = db.evaluate_exact(&query, 2).unwrap();
-    let approx = db.approx_query(&query, 2, &mut rng).unwrap();
+    let spec = QuerySpec::reconstruct("Zone", query.clone(), 2);
+    let outcome = db.query_with_rng(&spec, &mut rng).unwrap();
+    let approx = outcome.relation().unwrap();
     let exact_vol = union_volume(&exact.to_polytopes());
     assert!((exact_vol - 0.8).abs() < 1e-6);
     let sd = symmetric_difference_volume(&exact.to_polytopes(), &approx.to_polytopes());
@@ -174,7 +176,12 @@ fn end_to_end_query_through_the_facade() {
         sd / exact_vol
     );
     // And the volume estimator on the stored relation works too.
-    let vol = db.approx_volume("Zone", &mut rng).unwrap();
+    let spec = QuerySpec::volume("Zone", 1);
+    let vol = db
+        .query_with_rng(&spec, &mut rng)
+        .unwrap()
+        .volume()
+        .unwrap();
     assert!(diagnostics::relative_error(vol, 4.0) < 0.4, "volume {vol}");
 }
 

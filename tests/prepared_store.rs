@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use cdb_constraint::canonical::CanonicalKey;
 use cdb_constraint::GeneralizedRelation;
-use cdb_core::SpatialDatabase;
+use cdb_core::{QuerySpec, SpatialDatabase};
 use cdb_sampler::{GeneratorParams, SeedSequence};
 use cdb_workloads::polytopes::closed_form_suite;
 
@@ -41,6 +41,22 @@ fn populate(db: &mut SpatialDatabase, names: usize) {
     }
 }
 
+/// A seeded partial sample query: item `i` from `seq.item_stream(i)`, with
+/// failed draws kept as `None`.
+fn seeded_points(
+    db: &SpatialDatabase,
+    name: &str,
+    n: usize,
+    seq: &SeedSequence,
+    threads: usize,
+) -> Vec<Option<Vec<f64>>> {
+    let spec = QuerySpec::sample(name, n)
+        .with_seed_sequence(*seq)
+        .with_threads(threads)
+        .partial();
+    db.query(&spec).unwrap().points().to_vec()
+}
+
 const NAMES: usize = 12;
 const BATCH: usize = 16;
 
@@ -52,9 +68,7 @@ fn baseline(seeds: &[u64]) -> HashMap<(usize, u64), Vec<Option<Vec<f64>>>> {
     let mut expected = HashMap::new();
     for name in 0..NAMES {
         for &seed in seeds {
-            let batch = db
-                .approx_generate_batch(&format!("R{name}"), BATCH, &SeedSequence::new(seed), 1)
-                .unwrap();
+            let batch = seeded_points(&db, &format!("R{name}"), BATCH, &SeedSequence::new(seed), 1);
             expected.insert((name, seed), batch);
         }
     }
@@ -90,14 +104,13 @@ fn racing_threads_match_the_single_threaded_cold_run() {
                         // about which bodies are warm at any moment.
                         let name = (step * 5 + t * 7 + round) % NAMES;
                         let seed = seeds[(step + t) % seeds.len()];
-                        let got = db
-                            .approx_generate_batch(
-                                &format!("R{name}"),
-                                BATCH,
-                                &SeedSequence::new(seed),
-                                1,
-                            )
-                            .unwrap();
+                        let got = seeded_points(
+                            &db,
+                            &format!("R{name}"),
+                            BATCH,
+                            &SeedSequence::new(seed),
+                            1,
+                        );
                         assert_eq!(
                             &got,
                             &expected[&(name, seed)],
@@ -131,9 +144,9 @@ fn shared_content_under_different_names_hits_the_store() {
     db.insert("A", content(0));
     db.insert("B", content(0)); // same content, different name
     let seq = SeedSequence::new(0xFEED);
-    let a = db.approx_generate_batch("A", 8, &seq, 1).unwrap();
+    let a = seeded_points(&db, "A", 8, &seq, 1);
     let stats_after_a = db.store_stats();
-    let b = db.approx_generate_batch("B", 8, &seq, 1).unwrap();
+    let b = seeded_points(&db, "B", 8, &seq, 1);
     let stats_after_b = db.store_stats();
     // Content-derived keys: B's first query reuses A's prepared body …
     assert_eq!(stats_after_a.misses, stats_after_b.misses);
@@ -154,8 +167,8 @@ fn eviction_mid_flight_never_poisons_results() {
     for pass in 0..3 {
         for name in 0..4 {
             let id = format!("R{name}");
-            let want = disabled.approx_generate_batch(&id, 8, &seq, 1).unwrap();
-            let got = cached.approx_generate_batch(&id, 8, &seq, 1).unwrap();
+            let want = seeded_points(&disabled, &id, 8, &seq, 1);
+            let got = seeded_points(&cached, &id, 8, &seq, 1);
             assert_eq!(got, want, "pass {pass} {id} diverged under eviction");
         }
     }
@@ -169,9 +182,9 @@ fn replacing_a_relation_invalidates_its_key() {
     let mut db = SpatialDatabase::with_params(GeneratorParams::fast());
     db.insert("R", content(0));
     let seq = SeedSequence::new(0xD0);
-    let before = db.approx_generate_batch("R", 8, &seq, 1).unwrap();
+    let before = seeded_points(&db, "R", 8, &seq, 1);
     db.insert("R", content(1)); // replace with different content
-    let after = db.approx_generate_batch("R", 8, &seq, 1).unwrap();
+    let after = seeded_points(&db, "R", 8, &seq, 1);
     assert_ne!(before, after, "stale prepared body served after replace");
     for p in after.iter().flatten() {
         assert!(content(1).contains_f64(p));
@@ -180,7 +193,7 @@ fn replacing_a_relation_invalidates_its_key() {
     // content-derived) and reproduces the original output bitwise.
     db.insert("R", content(0));
     let hits_before = db.store_stats().hits;
-    let again = db.approx_generate_batch("R", 8, &seq, 1).unwrap();
+    let again = seeded_points(&db, "R", 8, &seq, 1);
     assert_eq!(before, again);
     assert!(db.store_stats().hits > hits_before);
 }

@@ -15,7 +15,7 @@
 use cdb_bench::load::{class_stats, render_report, run, schedule, LoadError, LoadSpec};
 use cdb_bench::report;
 use cdb_constraint::GeneralizedRelation;
-use cdb_core::{QueryPhase, SpatialDatabase, SpatialDbError};
+use cdb_core::{QueryPhase, QuerySpec, SpatialDatabase, SpatialDbError};
 use cdb_sampler::{
     BudgetTrip, CancelToken, DifferenceGenerator, FaultPlan, GeneratorParams,
     IntersectionGenerator, PreparedStore, QueryBudget, RelationGenerator, SeedSequence,
@@ -49,6 +49,14 @@ fn params() -> GeneratorParams {
     GeneratorParams::fast()
 }
 
+/// A seeded partial sample query over `n` items on `threads` workers.
+fn seeded_sample(name: &str, n: usize, seq: SeedSequence, threads: usize) -> QuerySpec {
+    QuerySpec::sample(name, n)
+        .with_seed_sequence(seq)
+        .with_threads(threads)
+        .partial()
+}
+
 fn sample_db() -> SpatialDatabase {
     let mut db = SpatialDatabase::with_params(params());
     db.insert(
@@ -69,38 +77,41 @@ fn sample_db() -> SpatialDatabase {
 /// serving afterwards.
 #[test]
 fn injected_worker_panic_is_contained_and_typed() {
-    let db = sample_db();
+    let db = sample_db().with_fault_plan(FaultPlan::new().with_worker_panic_at(5));
     let seq = SeedSequence::new(0xFA117);
     let n = 16;
-    {
-        let _plan = FaultPlan::new(1).with_worker_panic_at(5).install();
-        let batch = db
-            .approx_generate_batch_partial("R", n, &seq, 4, &QueryBudget::unlimited())
-            .expect("the relation itself is fine");
-        match &batch.error {
-            Some(SpatialDbError::WorkerPanicked { payload, .. }) => {
-                assert!(
-                    payload.starts_with("injected"),
-                    "unexpected payload: {payload}"
-                );
-            }
-            other => panic!("expected WorkerPanicked, got {other:?}"),
+    let batch = db
+        .query(&seeded_sample("R", n, seq, 4))
+        .expect("the relation itself is fine");
+    match &batch.error {
+        Some(SpatialDbError::WorkerPanicked { payload, .. }) => {
+            assert!(
+                payload.starts_with("injected"),
+                "unexpected payload: {payload}"
+            );
         }
-        // Worker 1 owns items 4..8 (chunked fan-out) and dies at item 5:
-        // item 4 completed first, items 5..8 are lost, everyone else runs
-        // to completion.
-        assert_eq!(batch.completed, n - 3, "survivors did not complete");
-        assert!(batch.results[4].is_some());
-        assert!(batch.results[5].is_none() && batch.results[7].is_none());
-        assert!(db.store_stats().panics_recovered >= 1);
+        other => panic!("expected WorkerPanicked, got {other:?}"),
     }
-    // The fault plan is gone; the shared database is not poisoned.
+    // Worker 1 owns items 4..8 (chunked fan-out) and dies at item 5:
+    // item 4 completed first, items 5..8 are lost, everyone else runs
+    // to completion.
+    assert_eq!(batch.completed, n - 3, "survivors did not complete");
+    let points = batch.points();
+    assert!(points[4].is_some());
+    assert!(points[5].is_none() && points[7].is_none());
+    assert!(db.store_stats().panics_recovered >= 1);
+
+    // Disarming the plan leaves the shared database unpoisoned.
+    let db = db.with_fault_plan(FaultPlan::new());
     let mut rng = StdRng::seed_from_u64(3);
-    let p = db.approx_generate("R", &mut rng).unwrap();
-    assert!(db.relation("R").unwrap().contains_f64(&p));
-    let clean = db
-        .approx_generate_batch_partial("R", n, &seq, 4, &QueryBudget::unlimited())
+    let sample = db
+        .query_with_rng(&QuerySpec::sample("R", 1), &mut rng)
         .unwrap();
+    assert!(db
+        .relation("R")
+        .unwrap()
+        .contains_f64(sample.point().unwrap()));
+    let clean = db.query(&seeded_sample("R", n, seq, 4)).unwrap();
     assert!(clean.error.is_none());
     assert_eq!(clean.completed, n);
 }
@@ -110,25 +121,22 @@ fn injected_worker_panic_is_contained_and_typed() {
 /// never to a panic or a budget error.
 #[test]
 fn forced_draw_failure_is_a_typed_generation_failure() {
-    let db = sample_db();
+    // The countdown is checked before each draw, never during preparation,
+    // so the first draw on a cold store is the one that fails.
+    let db = sample_db().with_fault_plan(FaultPlan::new().with_forced_draw_failures(1));
     let mut rng = StdRng::seed_from_u64(5);
-    // Warm the prepared store first, so the forced failure hits the draw
-    // itself rather than being consumed during preparation.
-    db.approx_generate("R", &mut rng).unwrap();
-    {
-        let _plan = FaultPlan::new(2).with_forced_draw_failures(1).install();
-        match db.approx_generate("R", &mut rng) {
-            Err(SpatialDbError::GenerationFailed {
-                relation, phase, ..
-            }) => {
-                assert_eq!(relation, "R");
-                assert_eq!(phase, QueryPhase::Sampling);
-            }
-            other => panic!("expected GenerationFailed, got {other:?}"),
+    let spec = QuerySpec::sample("R", 1);
+    match db.query_with_rng(&spec, &mut rng) {
+        Err(SpatialDbError::GenerationFailed {
+            relation, phase, ..
+        }) => {
+            assert_eq!(relation, "R");
+            assert_eq!(phase, QueryPhase::Sampling);
         }
+        other => panic!("expected GenerationFailed, got {other:?}"),
     }
     // The single injected failure is consumed; the next draw succeeds.
-    db.approx_generate("R", &mut rng).unwrap();
+    db.query_with_rng(&spec, &mut rng).unwrap();
 }
 
 /// A zero-acceptance composition under an attempt budget gives up promptly
@@ -162,7 +170,7 @@ fn budgeted_generate_reports_attempt_exhaustion() {
     let db = sample_db();
     let budget = QueryBudget::unlimited().with_max_attempts(0);
     let mut rng = StdRng::seed_from_u64(13);
-    match db.approx_generate_budgeted("R", &budget, &mut rng) {
+    match db.query_with_rng(&QuerySpec::sample("R", 1).with_budget(&budget), &mut rng) {
         Err(SpatialDbError::BudgetExhausted {
             relation, cause, ..
         }) => {
@@ -182,7 +190,7 @@ fn cancelled_token_is_reported_as_cancellation() {
     token.cancel();
     let budget = QueryBudget::unlimited().with_cancel(token);
     let mut rng = StdRng::seed_from_u64(11);
-    match db.approx_generate_budgeted("R", &budget, &mut rng) {
+    match db.query_with_rng(&QuerySpec::sample("R", 1).with_budget(&budget), &mut rng) {
         Err(SpatialDbError::BudgetExhausted { cause, .. }) => {
             assert_eq!(cause, BudgetTrip::Cancelled);
         }
@@ -192,7 +200,7 @@ fn cancelled_token_is_reported_as_cancellation() {
     let token = CancelToken::new();
     token.cancel();
     let budget = QueryBudget::unlimited().with_cancel(token);
-    match db.approx_volume_budgeted("R", &budget, &mut rng) {
+    match db.query_with_rng(&QuerySpec::volume("R", 1).with_budget(&budget), &mut rng) {
         Err(SpatialDbError::BudgetExhausted { cause, .. }) => {
             assert_eq!(cause, BudgetTrip::Cancelled);
         }
@@ -208,11 +216,10 @@ fn starved_step_budget_exhausts_identically_across_thread_counts() {
     let seq = SeedSequence::new(0x57A2);
     let budget = QueryBudget::unlimited().with_max_steps(3);
     let n = batch_n();
-    let baseline = db
-        .approx_generate_batch_partial("R", n, &seq, 1, &budget)
-        .unwrap();
+    let starved = |threads| seeded_sample("R", n, seq, threads).with_budget(&budget);
+    let baseline = db.query(&starved(1)).unwrap();
     assert_eq!(baseline.completed, 0);
-    assert!(baseline.results.iter().all(|r| r.is_none()));
+    assert!(baseline.points().iter().all(|r| r.is_none()));
     match &baseline.error {
         Some(SpatialDbError::BudgetExhausted {
             cause, completed, ..
@@ -223,11 +230,10 @@ fn starved_step_budget_exhausts_identically_across_thread_counts() {
         other => panic!("expected BudgetExhausted, got {other:?}"),
     }
     for &threads in thread_counts() {
-        let run = db
-            .approx_generate_batch_partial("R", n, &seq, threads, &budget)
-            .unwrap();
+        let run = db.query(&starved(threads)).unwrap();
         assert_eq!(
-            baseline.results, run.results,
+            baseline.points(),
+            run.points(),
             "starved batch differs at {threads} threads"
         );
         assert_eq!(run.completed, 0);
@@ -238,7 +244,6 @@ fn starved_step_budget_exhausts_identically_across_thread_counts() {
 /// lookup succeeds and the rebuild is counted.
 #[test]
 fn poisoned_store_shard_is_rebuilt_not_propagated() {
-    let _quiet = FaultPlan::new(0).install();
     let store: PreparedStore<u64, u64> = PreparedStore::new(8);
     store.get_or_prepare(&1, || 111);
     store.get_or_prepare(&2, || 222);
@@ -250,21 +255,54 @@ fn poisoned_store_shard_is_rebuilt_not_propagated() {
     assert!(stats.shards_rebuilt >= 1, "rebuild not recorded: {stats:?}");
 }
 
-/// The fault harness itself is bitwise invisible: installing and dropping
-/// an empty plan changes nothing about a batch.
+/// The fault harness itself is bitwise invisible: a database with an empty
+/// plan answers a batch exactly as one that never had a plan.
 #[test]
 fn empty_fault_plan_is_bitwise_invisible() {
-    let db = sample_db();
     let seq = SeedSequence::new(0x1D1E);
-    let n = batch_n();
-    let baseline = db.approx_generate_batch("U", n, &seq, 4).unwrap();
-    let observed = {
-        let _plan = FaultPlan::new(3).install();
-        db.approx_generate_batch("U", n, &seq, 4).unwrap()
-    };
-    assert_eq!(baseline, observed, "an empty fault plan perturbed a batch");
-    let after = db.approx_generate_batch("U", n, &seq, 4).unwrap();
-    assert_eq!(baseline, after);
+    let spec = seeded_sample("U", batch_n(), seq, 4);
+    let baseline = sample_db().query(&spec).unwrap();
+    let observed = sample_db()
+        .with_fault_plan(FaultPlan::new())
+        .query(&spec)
+        .unwrap();
+    assert_eq!(
+        baseline.points(),
+        observed.points(),
+        "an empty fault plan perturbed a batch"
+    );
+}
+
+/// A plan is scoped to the database that carries it: an armed database
+/// failing every draw on one thread never perturbs a clean database
+/// serving the same batch on another, round for round.
+#[test]
+fn armed_plan_never_leaks_into_another_database() {
+    let seq = SeedSequence::new(0x5C0BE);
+    let spec = seeded_sample("U", batch_n(), seq, 2);
+    let clean = sample_db();
+    let baseline = clean.query(&spec).unwrap();
+    let armed = sample_db().with_fault_plan(
+        FaultPlan::new()
+            .with_worker_panic_at(0)
+            .with_forced_draw_failures(u64::MAX),
+    );
+    let rounds = 4;
+    let start = std::sync::Barrier::new(2);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            for _ in 0..rounds {
+                start.wait();
+                assert_eq!(armed.query(&spec).unwrap().completed, 0);
+            }
+        });
+        for _ in 0..rounds {
+            start.wait();
+            let run = clean.query(&spec).unwrap();
+            assert!(run.error.is_none());
+            assert_eq!(run.points(), baseline.points());
+        }
+    });
 }
 
 /// Partial volume batches carry every completed estimate alongside the
@@ -274,18 +312,22 @@ fn partial_volume_batch_returns_completed_estimates() {
     let db = sample_db();
     let seq = SeedSequence::new(0x70CC5);
     // Unlimited: everything completes.
-    let full = db
-        .approx_volume_batch_partial("R", 4, &seq, 2, &QueryBudget::unlimited())
-        .unwrap();
+    let volumes = |budget: QueryBudget| {
+        let spec = QuerySpec::volume("R", 4)
+            .with_seed_sequence(seq)
+            .with_threads(2)
+            .with_budget(&budget)
+            .partial();
+        db.query(&spec).unwrap()
+    };
+    let full = volumes(QueryBudget::unlimited());
     assert!(full.error.is_none());
     assert_eq!(full.completed, 4);
-    for v in full.results.iter().flatten() {
+    for v in full.volumes().iter().flatten() {
         assert!((v - 2.0).abs() < 1.0, "volume {v} far off");
     }
     // Starved: nothing completes, and the error is a typed trip.
-    let starved = db
-        .approx_volume_batch_partial("R", 4, &seq, 2, &QueryBudget::unlimited().with_max_steps(1))
-        .unwrap();
+    let starved = volumes(QueryBudget::unlimited().with_max_steps(1));
     assert_eq!(starved.completed, 0);
     assert!(matches!(
         starved.error,
@@ -320,16 +362,14 @@ fn load_db() -> (SpatialDatabase, Vec<String>) {
 #[test]
 fn load_run_contains_an_injected_worker_panic() {
     let (db, names) = load_db();
+    let db = db.with_fault_plan(FaultPlan::new().with_worker_panic_at(10));
     let n = 32;
     // 4 client threads over 32 requests → worker 1 owns items 8..16. The
     // panic fires at item 10, so 8 and 9 complete and 10..16 are lost.
     let spec =
         LoadSpec::new(n, 8000.0, 0xFA17, SessionMix::no_reconstruction(0.7, 0.3)).with_threads(4);
     let sched = schedule(&spec, &names);
-    let rep = {
-        let _plan = FaultPlan::new(4).with_worker_panic_at(10).install();
-        run(&db, &spec, &sched)
-    };
+    let rep = run(&db, &spec, &sched);
     assert_eq!(rep.panics.len(), 1, "exactly one contained panic");
     assert_eq!(rep.panics[0].worker, 1);
     assert!(rep.panics[0].payload.starts_with("injected"));
@@ -365,7 +405,8 @@ fn load_run_contains_an_injected_worker_panic() {
     let parsed = report::parse_report(&render_report(&rows, true)).unwrap();
     assert_eq!(parsed.iter().filter_map(|r| r.lost).sum::<f64>(), 6.0);
 
-    // The plan is gone: the same schedule replays clean on the shared db.
+    // Disarmed, the same schedule replays clean on the shared db.
+    let db = db.with_fault_plan(FaultPlan::new());
     let clean = run(&db, &spec, &sched);
     assert!(clean.panics.is_empty());
     assert_eq!(clean.lost(), 0);

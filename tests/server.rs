@@ -85,9 +85,6 @@ fn health_and_stats_answer() {
 
 #[test]
 fn every_endpoint_answers_end_to_end() {
-    // Serialize against the fault-injecting test: holding an empty plan
-    // excludes armed plans for the duration (see FaultPlan docs).
-    let _quiet = FaultPlan::new(0).install();
     let server = start_server();
     let mut c = client(&server);
 
@@ -214,9 +211,6 @@ fn every_endpoint_answers_end_to_end() {
 /// streams under the same seed give distinct answers.
 #[test]
 fn seeded_responses_are_byte_reproducible() {
-    // Serialize against the fault-injecting test: holding an empty plan
-    // excludes armed plans for the duration (see FaultPlan docs).
-    let _quiet = FaultPlan::new(0).install();
     let server = start_server();
     let requests: [(&str, &str); 4] = [
         ("/v1/sample", r#"{"relation":"R","seed":99,"stream":4}"#),
@@ -392,17 +386,18 @@ fn error_status_table_is_complete() {
         assert_eq!(error.get("cause").unwrap().as_str(), Some("attempts"));
         assert_eq!(error.get("completed").unwrap().as_usize(), Some(0));
     }
-    // 503 generation_failed: a forced draw failure after warming the store
+    // The fault rows run on servers whose databases carry a fault plan; a
+    // plan never reaches any other server.
+    let faulty = |plan: FaultPlan| {
+        let server =
+            Server::start_with_db(ServerConfig::default(), test_db().with_fault_plan(plan))
+                .expect("server starts");
+        let c = client(&server);
+        (server, c)
+    };
+    // 503 generation_failed: a forced draw failure
     {
-        let (status, _) = c
-            .request_json(
-                "POST",
-                "/v1/sample",
-                Some(&body(r#"{"relation":"R","seed":2}"#)),
-            )
-            .unwrap();
-        assert_eq!(status, 200, "warm-up draw failed");
-        let _plan = FaultPlan::new(2).with_forced_draw_failures(1).install();
+        let (_server, mut c) = faulty(FaultPlan::new().with_forced_draw_failures(1));
         expect(
             &mut c,
             "POST",
@@ -413,44 +408,36 @@ fn error_status_table_is_complete() {
         );
     }
     // 500 worker_panicked: an injected batch-worker panic, fail-fast mode
-    {
-        let _plan = FaultPlan::new(3).with_worker_panic_at(5).install();
-        expect(
-            &mut c,
+    let (_server, mut c) = faulty(FaultPlan::new().with_worker_panic_at(5));
+    expect(
+        &mut c,
+        "POST",
+        "/v1/sample-batch",
+        Some(r#"{"relation":"R","n":16,"seed":4}"#),
+        500,
+        "worker_panicked",
+    );
+    // Partial mode instead answers 200 and reports the failure inline.
+    let (status, response) = c
+        .request_json(
             "POST",
             "/v1/sample-batch",
-            Some(r#"{"relation":"R","n":16,"seed":4}"#),
-            500,
-            "worker_panicked",
-        );
-    }
-    // Partial mode instead answers 200 and reports the failure inline.
-    {
-        let _plan = FaultPlan::new(4).with_worker_panic_at(5).install();
-        let (status, response) = c
-            .request_json(
-                "POST",
-                "/v1/sample-batch",
-                Some(&body(r#"{"relation":"R","n":16,"seed":4,"partial":true}"#)),
-            )
-            .unwrap();
-        assert_eq!(status, 200, "{response:?}");
-        let completed = response.get("completed").unwrap().as_usize().unwrap();
-        assert!(completed < 16, "the injected panic lost no items?");
-        assert_eq!(
-            response.get("error").unwrap().get("code").unwrap().as_str(),
-            Some("partial_failure")
-        );
-    }
+            Some(&body(r#"{"relation":"R","n":16,"seed":4,"partial":true}"#)),
+        )
+        .unwrap();
+    assert_eq!(status, 200, "{response:?}");
+    let completed = response.get("completed").unwrap().as_usize().unwrap();
+    assert!(completed < 16, "the injected panic lost no items?");
+    assert_eq!(
+        response.get("error").unwrap().get("code").unwrap().as_str(),
+        Some("partial_failure")
+    );
 }
 
 /// Oversized bodies are rejected with 413 before the handler ever runs,
 /// and the connection is closed (the unread body is still on the wire).
 #[test]
 fn oversized_body_is_rejected_with_413() {
-    // Serialize against the fault-injecting test: holding an empty plan
-    // excludes armed plans for the duration (see FaultPlan docs).
-    let _quiet = FaultPlan::new(0).install();
     let config = ServerConfig {
         max_body_bytes: 256,
         ..ServerConfig::default()
@@ -480,9 +467,6 @@ fn oversized_body_is_rejected_with_413() {
 /// budget of its own, and a request-level budget wins over both.
 #[test]
 fn budget_resolution_order_holds() {
-    // Serialize against the fault-injecting test: holding an empty plan
-    // excludes armed plans for the duration (see FaultPlan docs).
-    let _quiet = FaultPlan::new(0).install();
     let mut config = ServerConfig::default();
     config.budget_overrides.insert(
         "R".to_string(),
@@ -528,9 +512,6 @@ fn budget_resolution_order_holds() {
 /// seeded responses agree with a reference client, and the metrics add up.
 #[test]
 fn concurrent_clients_share_one_server() {
-    // Serialize against the fault-injecting test: holding an empty plan
-    // excludes armed plans for the duration (see FaultPlan docs).
-    let _quiet = FaultPlan::new(0).install();
     let server = start_server();
     let clients = 8usize;
     let per_client = if quick() { 4usize } else { 16usize };

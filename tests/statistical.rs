@@ -550,7 +550,7 @@ fn warm_store_passes_the_uniformity_and_volume_gates() {
     if quick_mode() {
         return;
     }
-    use cdb_core::SpatialDatabase;
+    use cdb_core::{QuerySpec, SpatialDatabase};
     let populate = |db: &mut SpatialDatabase| {
         db.insert(
             "Box",
@@ -560,11 +560,18 @@ fn warm_store_passes_the_uniformity_and_volume_gates() {
     let mut db = SpatialDatabase::with_params(params());
     populate(&mut db);
     let seq = SeedSequence::new(8201);
+    let points = |db: &SpatialDatabase, n: usize, threads: usize| {
+        let spec = QuerySpec::sample("Box", n)
+            .with_seed_sequence(seq)
+            .with_threads(threads)
+            .partial();
+        db.query(&spec).unwrap().points().to_vec()
+    };
     // Warm the store first, so the gated batch below runs entirely on the
     // cache-hit path.
-    db.approx_generate_batch("Box", 8, &seq, 1).unwrap();
+    points(&db, 8, 1);
     assert!(db.store_stats().misses > 0);
-    let batch = db.approx_generate_batch("Box", 4096, &seq, 0).unwrap();
+    let batch = points(&db, 4096, 0);
     assert!(
         db.store_stats().hits > 0,
         "gate did not exercise the warm path"
@@ -574,7 +581,10 @@ fn warm_store_passes_the_uniformity_and_volume_gates() {
     assert_marginal_uniform(&pts, |p| p[1], 0.0, 1.0, 16, "warm-store x1");
     // (ε, δ)-volume gate through the warm store: |V̂/V − 1| within the
     // fast-params budget for the 2×1 box.
-    let est = db.approx_volume_batch("Box", 9, &seq, 0).unwrap();
+    let spec = QuerySpec::volume("Box", 9)
+        .with_seed_sequence(seq)
+        .partial();
+    let est = db.query(&spec).unwrap().volume().unwrap();
     let err = relative_error(est, 2.0);
     assert!(err < 0.30, "warm-store volume {est:.3} (rel err {err:.3})");
     // Transfer pin: the disabled-store path returns the same bytes, so the
@@ -583,9 +593,7 @@ fn warm_store_passes_the_uniformity_and_volume_gates() {
     populate(&mut disabled);
     assert_eq!(
         batch,
-        disabled
-            .approx_generate_batch("Box", 4096, &seq, 0)
-            .unwrap(),
+        points(&disabled, 4096, 0),
         "warm-store batch is not bitwise equal to the disabled-store batch"
     );
     assert_eq!(
