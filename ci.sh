@@ -207,6 +207,20 @@ cargo build --release --offline --manifest-path perfbench/Cargo.toml
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
 stage_end
 
+stage_begin recon
+echo "==> reconstruction smoke (perfbench recon_2d: every answer checked against Fourier-Motzkin)"
+# A one-second recon_2d run hulls 2-D samples of 3-D/4-D bodies through the
+# whole engine; the stage fails unless every answer's symmetric difference
+# from the symbolic answer stays within eps.
+RECON_LINE=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+  --workload recon_2d --seed 1 --seconds 1 --trace 0 | tail -n 1)
+echo "$RECON_LINE"
+case "$RECON_LINE" in
+  *'"correct": true'*) ;;
+  *) echo "recon_2d smoke: an answer missed the exact result" >&2; exit 1 ;;
+esac
+stage_end
+
 if [ "$QUICK" != "1" ]; then
   stage_begin statistical
   echo "==> statistical acceptance suite (chi-square uniformity + (eps, delta) volume gates)"

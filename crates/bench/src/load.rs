@@ -100,9 +100,10 @@ pub struct LoadSpec {
     pub seed: u64,
     /// Read/volume/reconstruction blend.
     pub mix: SessionMix,
-    /// Budget applied to every sample/volume request. Reconstruction has no
-    /// budgeted evaluation path yet, so reconstruction requests run unbudgeted —
-    /// keep their weight low in mixes that include pathological relations.
+    /// Budget applied to every sample/volume request. Reconstruction requests
+    /// run unbudgeted on both transports, which keeps the recorded rows
+    /// comparable with earlier runs — keep their weight low in mixes that
+    /// include pathological relations.
     pub budget: QueryBudget,
     /// Per-relation budget overrides (e.g. a starved budget on one name),
     /// taking precedence over `budget`.

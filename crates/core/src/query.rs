@@ -40,6 +40,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 use cdb_constraint::{Formula, GeneralizedRelation};
+use cdb_reconstruct::ReconstructionError;
 use cdb_sampler::{
     batch, BudgetTrip, FaultPlan, QueryBudget, RelationGenerator, RelationVolumeEstimator,
     SeedSequence, UnionGenerator,
@@ -89,8 +90,8 @@ pub enum FailureMode {
 #[derive(Clone, Debug, Default)]
 pub struct QueryOptions {
     /// Per-item work limits (see [`QueryBudget`]); unlimited by default.
-    /// Currently ignored by [`QueryKind::Reconstruct`], which has no
-    /// budgeted evaluation path yet.
+    /// A [`QueryKind::Reconstruct`] query is one item: the draws of all its
+    /// pieces add up against one budget.
     pub budget: QueryBudget,
     /// Worker threads for seeded batch execution (`0` = one per core).
     /// Thread count never changes results, only wall-clock time.
@@ -426,9 +427,9 @@ impl SpatialDatabase {
                 output_arity,
             } => match funding {
                 Funding::Seeded(seq) => {
-                    self.run_reconstruct(query, *output_arity, &mut seq.item_stream(0).rng())
+                    self.run_reconstruct(spec, query, *output_arity, &mut seq.item_stream(0).rng())
                 }
-                Funding::Caller(rng) => self.run_reconstruct(query, *output_arity, rng),
+                Funding::Caller(rng) => self.run_reconstruct(spec, query, *output_arity, rng),
             },
         }
     }
@@ -476,11 +477,13 @@ impl SpatialDatabase {
         finish(spec, T::into_value(results), completed, error)
     }
 
-    /// The reconstruction arm shared by both execution modes. No budgeted
-    /// evaluation path exists for the estimator yet, so
-    /// [`QueryOptions::budget`] is not consulted here.
+    /// The reconstruction arm shared by both execution modes. The whole
+    /// reconstruction runs under [`QueryOptions::budget`]; a trip is
+    /// reported as [`SpatialDbError::BudgetExhausted`] under the spec's
+    /// relation name.
     fn run_reconstruct<R: Rng + ?Sized>(
         &self,
+        spec: &QuerySpec,
         query: &Formula,
         output_arity: usize,
         rng: &mut R,
@@ -489,10 +492,18 @@ impl SpatialDatabase {
             self.params,
             self.params.eps,
             self.params.delta,
-        );
+        )
+        .with_budget(spec.options.budget.clone());
         let relation = estimator
             .estimate(&self.database, query, output_arity, rng)
-            .map_err(SpatialDbError::Reconstruction)?;
+            .map_err(|e| match e {
+                ReconstructionError::BudgetExhausted(cause) => SpatialDbError::BudgetExhausted {
+                    relation: spec.relation.clone(),
+                    cause,
+                    completed: 0,
+                },
+                other => SpatialDbError::Reconstruction(other),
+            })?;
         Ok(QueryOutcome {
             value: QueryValue::Relation(relation),
             completed: 1,
@@ -625,6 +636,31 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    #[test]
+    fn reconstruction_runs_under_the_query_budget() {
+        let db = demo_db();
+        // A 2-ary output of a 3-ary body: every piece is sampled through a
+        // projection generator, one attempt or more per draw.
+        let query = Formula::exists(
+            vec![2],
+            Formula::and(vec![
+                Formula::rel("R", vec![0, 2]),
+                Formula::rel("R", vec![1, 2]),
+            ]),
+        );
+        let spec = QuerySpec::reconstruct("join", query, 2)
+            .with_budget(&cdb_sampler::QueryBudget::unlimited().with_max_attempts(1))
+            .with_seed(8);
+        match db.query(&spec) {
+            Err(SpatialDbError::BudgetExhausted {
+                relation,
+                cause: BudgetTrip::Attempts,
+                completed: 0,
+            }) => assert_eq!(relation, "join"),
+            other => panic!("expected an attempt-budget trip, got {other:?}"),
+        }
     }
 
     #[test]

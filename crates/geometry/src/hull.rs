@@ -7,48 +7,77 @@
 //!
 //! As the paper notes, convex hull computation is exponential in the
 //! dimension; these routines are meant for the *result* dimension `e` of a
-//! projection query, which is small. Two algorithms are provided: Andrew's
-//! monotone chain for the plane, and supporting-hyperplane enumeration over
-//! point subsets for small general dimensions.
+//! projection query, which is small. Both algorithms are output-sensitive in
+//! the number of points: Andrew's monotone chain in the plane
+//! (`O(N log N)`), and Quickhull above it, which grows a simplicial hull from
+//! an initial simplex one farthest outside point at a time. Every predicate
+//! uses the same tolerance, `HULL_EPS` times the cloud's scale.
 
-use cdb_linalg::{Matrix, Vector};
+use cdb_linalg::Vector;
 
 use crate::{HPolytope, Halfspace};
+
+mod quickhull;
+#[cfg(test)]
+mod tests;
+
+use quickhull::SimplicialHull;
 
 /// Tolerance for hull predicates, relative to the point cloud's scale.
 const HULL_EPS: f64 = 1e-7;
 
+/// The absolute predicate tolerance for a cloud: [`HULL_EPS`] times its
+/// largest coordinate magnitude (at least 1).
+fn cloud_tolerance(points: &[Vector]) -> f64 {
+    HULL_EPS * points.iter().map(|p| p.norm_inf()).fold(1.0f64, f64::max)
+}
+
+fn all_finite(points: &[Vector]) -> bool {
+    points.iter().all(|p| p.is_finite())
+}
+
 /// Convex hull of a set of points in the plane, returned in counter-clockwise
-/// order without repetition (Andrew's monotone chain). Collinear input
-/// degenerates to the two extreme points; fewer than three distinct points
-/// are returned as-is.
+/// order without repetition (Andrew's monotone chain). Points closer than
+/// the cloud tolerance are merged, so consecutive hull vertices are always
+/// farther apart than it, and a vertex within the tolerance of the chord
+/// between its neighbours is dropped. Collinear input degenerates to the two
+/// extreme points; fewer than three distinct points are returned as-is. A
+/// non-finite coordinate does not panic, but the ring is then meaningless.
 pub fn hull_2d(points: &[Vector]) -> Vec<Vector> {
     assert!(
         points.iter().all(|p| p.dim() == 2),
         "hull_2d expects planar points"
     );
+    let tol = cloud_tolerance(points);
+    let close = |a: (f64, f64), b: (f64, f64)| (a.0 - b.0).abs() < tol && (a.1 - b.1).abs() < tol;
     let mut pts: Vec<(f64, f64)> = points.iter().map(|p| (p[0], p[1])).collect();
-    pts.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    pts.dedup_by(|a, b| (a.0 - b.0).abs() < 1e-12 && (a.1 - b.1).abs() < 1e-12);
-    if pts.len() < 3 {
-        return pts
-            .into_iter()
+    pts.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
+    pts.dedup_by(|a, b| close(*a, *b));
+    let to_vectors = |ring: Vec<(f64, f64)>| -> Vec<Vector> {
+        ring.into_iter()
             .map(|(x, y)| Vector::from(vec![x, y]))
-            .collect();
+            .collect()
+    };
+    if pts.len() < 3 {
+        return to_vectors(pts);
     }
-    let cross = |o: (f64, f64), a: (f64, f64), b: (f64, f64)| {
-        (a.0 - o.0) * (b.1 - o.1) - (a.1 - o.1) * (b.0 - o.0)
+    // Whether `a` fails to turn left on the way from `o` to `b` by more than
+    // the tolerance: the cross product is `|b − o|` times `a`'s distance from
+    // the chord `o → b`.
+    let not_left = |o: (f64, f64), a: (f64, f64), b: (f64, f64)| {
+        let cross = (a.0 - o.0) * (b.1 - o.1) - (a.1 - o.1) * (b.0 - o.0);
+        cross <= tol * (b.0 - o.0).hypot(b.1 - o.1)
     };
     let mut lower: Vec<(f64, f64)> = Vec::new();
     for &p in &pts {
-        while lower.len() >= 2 && cross(lower[lower.len() - 2], lower[lower.len() - 1], p) <= 0.0 {
+        while lower.len() >= 2 && not_left(lower[lower.len() - 2], lower[lower.len() - 1], p) {
             lower.pop();
         }
         lower.push(p);
     }
     let mut upper: Vec<(f64, f64)> = Vec::new();
     for &p in pts.iter().rev() {
-        while upper.len() >= 2 && cross(upper[upper.len() - 2], upper[upper.len() - 1], p) <= 0.0 {
+        while upper.len() >= 2 && not_left(upper[upper.len() - 2], upper[upper.len() - 1], p) {
             upper.pop();
         }
         upper.push(p);
@@ -56,10 +85,18 @@ pub fn hull_2d(points: &[Vector]) -> Vec<Vector> {
     lower.pop();
     upper.pop();
     lower.extend(upper);
-    lower
-        .into_iter()
-        .map(|(x, y)| Vector::from(vec![x, y]))
-        .collect()
+    // Close points need not be neighbours in sort order: drop any hull
+    // vertex within the tolerance of the one before it.
+    let mut ring: Vec<(f64, f64)> = Vec::with_capacity(lower.len());
+    for p in lower {
+        if ring.last().is_none_or(|&q| !close(p, q)) {
+            ring.push(p);
+        }
+    }
+    while ring.len() > 1 && close(ring[0], ring[ring.len() - 1]) {
+        ring.pop();
+    }
+    to_vectors(ring)
 }
 
 /// Area of a simple polygon given by its vertices in order (shoelace formula).
@@ -76,195 +113,70 @@ pub fn polygon_area(vertices: &[Vector]) -> f64 {
     twice_area.abs() / 2.0
 }
 
-/// A supporting hyperplane of a point cloud together with the indices of the
-/// points lying on it.
-#[derive(Clone, Debug)]
-pub struct Facet {
-    /// Outward normal (not normalized).
-    pub normal: Vector,
-    /// Offset: points satisfy `normal·p ≤ offset`, facet points attain equality.
-    pub offset: f64,
-    /// Indices of the points on the facet.
-    pub on_facet: Vec<usize>,
+/// The outward unit-normal halfspaces of a counter-clockwise polygon, one per
+/// edge `a → b`: normal `(b_y − a_y, a_x − b_x)/‖·‖`, offset `normal·a`.
+fn ring_halfspaces(ring: &[Vector]) -> Vec<Halfspace> {
+    ring.iter()
+        .zip(ring.iter().cycle().skip(1))
+        .map(|(a, b)| {
+            let edge = Vector::from(vec![b[1] - a[1], a[0] - b[0]]);
+            let normal = edge.scale(1.0 / edge.norm());
+            let offset = normal.dot(a);
+            Halfspace::new(normal, offset)
+        })
+        .collect()
 }
 
-/// Generalized cross product: the vector orthogonal to the `d−1` rows of `m`
-/// (each of length `d`), computed by cofactor expansion.
-fn generalized_cross(rows: &[Vector]) -> Vector {
-    let d = rows[0].dim();
-    assert_eq!(
-        rows.len(),
-        d - 1,
-        "need d-1 rows for a generalized cross product"
-    );
-    let mut normal = Vector::zeros(d);
-    for j in 0..d {
-        // Minor: remove column j.
-        let minor_rows: Vec<Vec<f64>> = rows
-            .iter()
-            .map(|r| (0..d).filter(|&k| k != j).map(|k| r[k]).collect())
-            .collect();
-        let det = if d == 1 {
-            1.0
-        } else {
-            Matrix::from_rows(&minor_rows).determinant()
-        };
-        normal[j] = if j % 2 == 0 { det } else { -det };
-    }
-    normal
-}
-
-/// Enumerates the supporting hyperplanes (facets) of the convex hull of a
-/// point cloud in small dimension `d ≥ 2` by testing every `d`-subset of
-/// points. Exponential in `d`; intended for the low result dimensions of
-/// reconstruction queries.
-pub fn facets_of_points(points: &[Vector]) -> Vec<Facet> {
-    if points.is_empty() {
-        return Vec::new();
-    }
-    let d = points[0].dim();
-    let n = points.len();
-    if n < d {
-        return Vec::new();
-    }
-    let scale = points.iter().map(|p| p.norm_inf()).fold(1.0f64, f64::max);
-    let tol = HULL_EPS * scale;
-
-    let mut facets: Vec<Facet> = Vec::new();
-    let mut seen_keys: Vec<(Vec<i64>, i64)> = Vec::new();
-    let mut combo: Vec<usize> = (0..d).collect();
-    loop {
-        let base = &points[combo[0]];
-        let rows: Vec<Vector> = combo[1..].iter().map(|&i| &points[i] - base).collect();
-        let mut normal = generalized_cross(&rows);
-        let norm = normal.norm();
-        if norm > tol {
-            normal = normal.scale(1.0 / norm);
-            let mut offset = normal.dot(base);
-            // Determine on which side the remaining points fall.
-            let mut max_slack = f64::NEG_INFINITY;
-            let mut min_slack = f64::INFINITY;
-            for p in points {
-                let s = normal.dot(p) - offset;
-                max_slack = max_slack.max(s);
-                min_slack = min_slack.min(s);
-            }
-            let is_facet = if max_slack <= tol {
-                true
-            } else if min_slack >= -tol {
-                normal = -&normal;
-                offset = -offset;
-                true
-            } else {
-                false
-            };
-            if is_facet {
-                let key: (Vec<i64>, i64) = (
-                    normal.iter().map(|v| (v * 1e6).round() as i64).collect(),
-                    (offset / scale.max(1.0) * 1e6).round() as i64,
-                );
-                if !seen_keys.contains(&key) {
-                    seen_keys.push(key);
-                    let on_facet: Vec<usize> = points
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, p)| (normal.dot(p) - offset).abs() <= tol)
-                        .map(|(i, _)| i)
-                        .collect();
-                    facets.push(Facet {
-                        normal,
-                        offset,
-                        on_facet,
-                    });
-                }
-            }
-        }
-        // Next d-combination.
-        let mut i = d;
-        loop {
-            if i == 0 {
-                return facets;
-            }
-            i -= 1;
-            if combo[i] != i + n - d {
-                combo[i] += 1;
-                for j in (i + 1)..d {
-                    combo[j] = combo[j - 1] + 1;
-                }
-                break;
-            }
-        }
-    }
-}
-
-/// H-representation of the convex hull of a point cloud (small dimensions).
-/// Returns `None` when the cloud is affinely degenerate (its hull has no
-/// interior) or too small.
+/// H-representation of the convex hull of a point cloud (small dimensions),
+/// one halfspace per facet with a unit outward normal. Returns `None` when
+/// the cloud is empty, has a non-finite coordinate, is affinely degenerate
+/// (its hull has no interior), or is too small.
 pub fn hull_to_hpolytope(points: &[Vector]) -> Option<HPolytope> {
-    if points.is_empty() {
+    if points.is_empty() || !all_finite(points) {
         return None;
     }
-    let d = points[0].dim();
-    if d == 1 {
-        let lo = points.iter().map(|p| p[0]).fold(f64::INFINITY, f64::min);
-        let hi = points
-            .iter()
-            .map(|p| p[0])
-            .fold(f64::NEG_INFINITY, f64::max);
-        if hi - lo <= 0.0 {
-            return None;
+    match points[0].dim() {
+        0 => None,
+        1 => {
+            let lo = points.iter().map(|p| p[0]).fold(f64::INFINITY, f64::min);
+            let hi = points
+                .iter()
+                .map(|p| p[0])
+                .fold(f64::NEG_INFINITY, f64::max);
+            (hi - lo > 0.0).then(|| HPolytope::axis_box(&[lo], &[hi]))
         }
-        return Some(HPolytope::axis_box(&[lo], &[hi]));
-    }
-    let facets = facets_of_points(points);
-    if facets.len() < d + 1 {
-        return None;
-    }
-    let halfspaces: Vec<Halfspace> = facets
-        .into_iter()
-        .map(|f| Halfspace::new(f.normal, f.offset))
-        .collect();
-    let poly = HPolytope::new(d, halfspaces);
-    // Degenerate clouds can slip through with opposite facets only.
-    if poly.chebyshev_ball().map(|(_, r)| r).unwrap_or(0.0) <= 0.0 {
-        return None;
-    }
-    Some(poly)
-}
-
-/// An orthonormal basis of the hyperplane orthogonal to `normal` (which must
-/// be non-zero), produced by Gram–Schmidt over the standard basis.
-fn hyperplane_basis(normal: &Vector) -> Vec<Vector> {
-    let d = normal.dim();
-    let unit = normal.normalized().expect("non-zero normal required");
-    let mut basis: Vec<Vector> = Vec::with_capacity(d - 1);
-    for i in 0..d {
-        let mut candidate = Vector::basis(d, i);
-        candidate -= &unit.scale(unit.dot(&candidate));
-        for b in &basis {
-            candidate -= &b.scale(b.dot(&candidate));
-        }
-        if let Some(u) = candidate.normalized() {
-            if candidate.norm() > 1e-9 {
-                basis.push(u);
-                if basis.len() == d - 1 {
-                    break;
-                }
+        2 => {
+            let halfspaces = ring_halfspaces(&hull_2d(points));
+            if halfspaces.len() < 3 {
+                return None;
             }
+            let poly = HPolytope::new(2, halfspaces);
+            // Degenerate clouds can slip through with opposite facets only.
+            let radius = poly.chebyshev_ball().map_or(0.0, |(_, r)| r);
+            (radius > 0.0).then_some(poly)
         }
+        // Quickhull certifies an interior: the centroid of its initial
+        // simplex lies strictly below every facet, so no Chebyshev LP is
+        // needed.
+        d => Some(HPolytope::new(
+            d,
+            SimplicialHull::build(points, cloud_tolerance(points))?.halfspaces(),
+        )),
     }
-    basis
 }
 
 /// Volume of the convex hull of a point cloud in any (small) dimension.
 ///
-/// Dimension 1 and 2 use closed forms; higher dimensions use the cone
-/// decomposition from the centroid over the supporting hyperplanes, recursing
-/// on the facets expressed in an orthonormal hyperplane basis (so the
-/// `(d−1)`-dimensional facet volume is measured correctly).
+/// Dimension 1 and 2 use closed forms; higher dimensions sum the cones from
+/// an interior point over the simplicial facets of the Quickhull hull, one
+/// `d×d` determinant each. An affinely degenerate cloud has volume 0; a cloud
+/// with a non-finite coordinate has volume NaN.
 pub fn convex_hull_volume(points: &[Vector]) -> f64 {
     if points.is_empty() {
         return 0.0;
+    }
+    if !all_finite(points) {
+        return f64::NAN;
     }
     let d = points[0].dim();
     match d {
@@ -278,179 +190,6 @@ pub fn convex_hull_volume(points: &[Vector]) -> f64 {
             (hi - lo).max(0.0)
         }
         2 => polygon_area(&hull_2d(points)),
-        _ => {
-            if points.len() < d + 1 {
-                return 0.0;
-            }
-            let centroid = Matrix::mean(points).expect("non-empty cloud");
-            let facets = facets_of_points(points);
-            let mut volume = 0.0;
-            for f in &facets {
-                if f.on_facet.len() < d {
-                    continue;
-                }
-                let base_point = &points[f.on_facet[0]];
-                let basis = hyperplane_basis(&f.normal);
-                if basis.len() != d - 1 {
-                    continue;
-                }
-                let projected: Vec<Vector> = f
-                    .on_facet
-                    .iter()
-                    .map(|&i| {
-                        let rel = &points[i] - base_point;
-                        Vector::from(basis.iter().map(|b| b.dot(&rel)).collect::<Vec<_>>())
-                    })
-                    .collect();
-                let facet_vol = convex_hull_volume(&projected);
-                let unit_normal = f.normal.normalized().expect("facet normal is non-zero");
-                let height = (unit_normal.dot(&centroid) - f.offset / f.normal.norm()).abs();
-                volume += facet_vol * height / d as f64;
-            }
-            volume
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn v2(x: f64, y: f64) -> Vector {
-        Vector::from(vec![x, y])
-    }
-
-    #[test]
-    fn hull_2d_square_with_interior_points() {
-        let pts = vec![
-            v2(0.0, 0.0),
-            v2(1.0, 0.0),
-            v2(1.0, 1.0),
-            v2(0.0, 1.0),
-            v2(0.5, 0.5),
-            v2(0.25, 0.75),
-        ];
-        let hull = hull_2d(&pts);
-        assert_eq!(hull.len(), 4);
-        assert!((polygon_area(&hull) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn hull_2d_collinear_points() {
-        let pts = vec![v2(0.0, 0.0), v2(1.0, 1.0), v2(2.0, 2.0)];
-        let hull = hull_2d(&pts);
-        assert!(hull.len() <= 2);
-        assert_eq!(polygon_area(&hull), 0.0);
-    }
-
-    #[test]
-    fn polygon_area_triangle() {
-        let tri = vec![v2(0.0, 0.0), v2(2.0, 0.0), v2(0.0, 2.0)];
-        assert!((polygon_area(&tri) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn facets_of_square() {
-        let pts = vec![
-            v2(0.0, 0.0),
-            v2(1.0, 0.0),
-            v2(1.0, 1.0),
-            v2(0.0, 1.0),
-            v2(0.4, 0.6),
-        ];
-        let facets = facets_of_points(&pts);
-        assert_eq!(facets.len(), 4);
-        for f in &facets {
-            assert_eq!(f.on_facet.len(), 2);
-        }
-    }
-
-    #[test]
-    fn facets_of_tetrahedron() {
-        let pts = vec![
-            Vector::from(vec![0.0, 0.0, 0.0]),
-            Vector::from(vec![1.0, 0.0, 0.0]),
-            Vector::from(vec![0.0, 1.0, 0.0]),
-            Vector::from(vec![0.0, 0.0, 1.0]),
-        ];
-        let facets = facets_of_points(&pts);
-        assert_eq!(facets.len(), 4);
-    }
-
-    #[test]
-    fn hull_volume_matches_known_bodies() {
-        // Unit square.
-        let square = vec![v2(0.0, 0.0), v2(1.0, 0.0), v2(1.0, 1.0), v2(0.0, 1.0)];
-        assert!((convex_hull_volume(&square) - 1.0).abs() < 1e-9);
-        // Unit cube in 3D (8 corners), volume 1.
-        let mut cube = Vec::new();
-        for mask in 0..8u32 {
-            cube.push(Vector::from(vec![
-                (mask & 1) as f64,
-                (mask >> 1 & 1) as f64,
-                (mask >> 2 & 1) as f64,
-            ]));
-        }
-        assert!((convex_hull_volume(&cube) - 1.0).abs() < 1e-6);
-        // Standard 3-simplex, volume 1/6.
-        let simplex = vec![
-            Vector::from(vec![0.0, 0.0, 0.0]),
-            Vector::from(vec![1.0, 0.0, 0.0]),
-            Vector::from(vec![0.0, 1.0, 0.0]),
-            Vector::from(vec![0.0, 0.0, 1.0]),
-        ];
-        assert!((convex_hull_volume(&simplex) - 1.0 / 6.0).abs() < 1e-6);
-        // 4-dimensional hypercube, volume 1.
-        let mut cube4 = Vec::new();
-        for mask in 0..16u32 {
-            cube4.push(Vector::from(vec![
-                (mask & 1) as f64,
-                (mask >> 1 & 1) as f64,
-                (mask >> 2 & 1) as f64,
-                (mask >> 3 & 1) as f64,
-            ]));
-        }
-        assert!((convex_hull_volume(&cube4) - 1.0).abs() < 1e-5);
-    }
-
-    #[test]
-    fn degenerate_cloud_has_zero_volume() {
-        // Four coplanar points in 3D.
-        let flat = vec![
-            Vector::from(vec![0.0, 0.0, 0.5]),
-            Vector::from(vec![1.0, 0.0, 0.5]),
-            Vector::from(vec![0.0, 1.0, 0.5]),
-            Vector::from(vec![1.0, 1.0, 0.5]),
-        ];
-        assert!(convex_hull_volume(&flat).abs() < 1e-9);
-        assert!(hull_to_hpolytope(&flat).is_none());
-    }
-
-    #[test]
-    fn hull_to_hpolytope_roundtrip() {
-        let pts = vec![
-            v2(0.0, 0.0),
-            v2(2.0, 0.0),
-            v2(2.0, 1.0),
-            v2(0.0, 1.0),
-            v2(1.0, 0.5),
-        ];
-        let poly = hull_to_hpolytope(&pts).unwrap();
-        assert!(poly.contains_slice(&[1.0, 0.5], 1e-9));
-        assert!(poly.contains_slice(&[1.9, 0.9], 1e-6));
-        assert!(!poly.contains_slice(&[2.1, 0.5], 1e-6));
-        assert!(!poly.contains_slice(&[1.0, -0.1], 1e-6));
-    }
-
-    #[test]
-    fn hull_to_hpolytope_1d() {
-        let pts = vec![
-            Vector::from(vec![3.0]),
-            Vector::from(vec![-1.0]),
-            Vector::from(vec![2.0]),
-        ];
-        let poly = hull_to_hpolytope(&pts).unwrap();
-        assert!(poly.contains_slice(&[0.0], 0.0));
-        assert!(!poly.contains_slice(&[3.5], 1e-9));
+        _ => SimplicialHull::build(points, cloud_tolerance(points)).map_or(0.0, |h| h.volume()),
     }
 }

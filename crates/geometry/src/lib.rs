@@ -12,9 +12,9 @@
 //! * [`ConstraintMatrix`] — the structure-aware constraint-matrix layer
 //!   (dense / CSR / axis-aligned) every polytope builds at construction; the
 //!   samplers' hot chord and membership kernels dispatch on it;
-//! * [`hull`] — convex hulls of point clouds (monotone chain in 2D, facet
-//!   enumeration in small general dimension), used by the reconstruction
-//!   algorithms of Section 4.3 of the paper;
+//! * [`hull`] — convex hulls of point clouds (monotone chain in 2D,
+//!   Quickhull above it, both output-sensitive in the number of points),
+//!   used by the reconstruction algorithms of Section 4.3 of the paper;
 //! * [`volume`] — deterministic volume computation for convex polytopes
 //!   (cone decomposition from an interior point over the facet lattice) and
 //!   inclusion–exclusion volumes for unions, the fixed-dimension baseline of

@@ -18,8 +18,9 @@ pub const MAX_UNION_PIECES: usize = 20;
 
 /// Volume of a bounded convex H-polytope.
 ///
-/// The polytope's vertices are enumerated and the cone decomposition from the
-/// centroid is evaluated over the defining facets. Lower-dimensional or empty
+/// The polytope's vertices are enumerated and their convex hull's volume is
+/// summed as cones from an interior point (see
+/// [`convex_hull_volume`]). Lower-dimensional or empty
 /// polytopes have volume 0. Exponential in the dimension (this is the
 /// baseline the paper wants to escape from); keep `dim` small.
 pub fn polytope_volume(p: &HPolytope) -> f64 {

@@ -6,7 +6,7 @@ use cdb_constraint::GeneralizedTuple;
 use cdb_geometry::hull::hull_to_hpolytope;
 use cdb_geometry::HPolytope;
 use cdb_linalg::Vector;
-use cdb_sampler::{ConvexBody, DfkSampler, GeneratorParams};
+use cdb_sampler::{BudgetTrip, ConvexBody, DfkSampler, GeneratorParams};
 
 /// Errors produced by the reconstruction layer.
 #[derive(Debug, Clone, PartialEq)]
@@ -23,6 +23,8 @@ pub enum ReconstructionError {
         /// Points actually produced.
         produced: usize,
     },
+    /// The query budget tripped before every piece was sampled.
+    BudgetExhausted(BudgetTrip),
     /// The query is outside the positive existential fragment handled by
     /// Algorithms 4 and 5.
     UnsupportedQuery(String),
@@ -43,6 +45,9 @@ impl std::fmt::Display for ReconstructionError {
                 produced,
             } => {
                 write!(f, "only {produced} of {requested} samples were produced")
+            }
+            ReconstructionError::BudgetExhausted(cause) => {
+                write!(f, "query budget exhausted: {cause}")
             }
             ReconstructionError::UnsupportedQuery(msg) => write!(f, "unsupported query: {msg}"),
             ReconstructionError::Constraint(msg) => write!(f, "constraint layer error: {msg}"),

@@ -10,7 +10,7 @@ use cdb_geometry::hull::hull_to_hpolytope;
 use cdb_geometry::HPolytope;
 use cdb_linalg::Vector;
 use cdb_num::Rational;
-use cdb_sampler::{GeneratorParams, ProjectionGenerator, RelationGenerator};
+use cdb_sampler::{GeneratorParams, ProjectionGenerator, QueryBudget, RelationGenerator};
 
 use crate::convex::{default_hull_sample_size, ReconstructionError};
 
@@ -100,6 +100,34 @@ struct Block {
     body: Formula,
 }
 
+/// Draws `n` points from `generator`, charging every draw to `budget`. The
+/// budget spans the whole reconstruction, so each draw runs under what the
+/// earlier draws left of it; a trip ends the query.
+fn draw_budgeted<R: Rng + ?Sized>(
+    generator: &mut ProjectionGenerator,
+    n: usize,
+    budget: &mut QueryBudget,
+    rng: &mut R,
+) -> Result<Vec<Vec<f64>>, ReconstructionError> {
+    let mut samples = Vec::with_capacity(n);
+    for _ in 0..n {
+        generator.set_budget(budget.clone());
+        let drawn = generator.sample(rng);
+        if let Some(cause) = generator.budget_trip() {
+            return Err(ReconstructionError::BudgetExhausted(cause));
+        }
+        let meter = generator.budget_meter();
+        budget.max_steps = budget
+            .max_steps
+            .map(|s| s.saturating_sub(meter.steps_used()));
+        budget.max_attempts = budget
+            .max_attempts
+            .map(|a| a.saturating_sub(meter.attempts_used()));
+        samples.extend(drawn);
+    }
+    Ok(samples)
+}
+
 /// Algorithms 4 and 5: guaranteed `(ε, δ)`-estimation of a positive
 /// existential query `Ψ ≡ ∨_i φ_i`, where each `φ_i` is built from relation
 /// and linear atoms by conjunction and existential quantification. Each
@@ -111,6 +139,7 @@ pub struct PositiveQueryEstimator {
     eps: f64,
     delta: f64,
     samples_per_piece: Option<usize>,
+    budget: QueryBudget,
 }
 
 impl PositiveQueryEstimator {
@@ -121,7 +150,19 @@ impl PositiveQueryEstimator {
             eps,
             delta,
             samples_per_piece: None,
+            budget: QueryBudget::unlimited(),
         }
+    }
+
+    /// Bounds the work of one [`PositiveQueryEstimator::estimate`] call.
+    /// The whole reconstruction is one query: the walk steps and attempts
+    /// of every draw, over every piece, add up against the one budget, and
+    /// a trip returns [`ReconstructionError::BudgetExhausted`]. Building a
+    /// piece's generator (its walk set-up and stratified selector) is
+    /// set-up work and is not charged.
+    pub fn with_budget(mut self, budget: QueryBudget) -> Self {
+        self.budget = budget;
+        self
     }
 
     /// Overrides the number of samples drawn per convex piece (by default the
@@ -198,6 +239,7 @@ impl PositiveQueryEstimator {
         rng: &mut R,
     ) -> Result<GeneralizedRelation, ReconstructionError> {
         let blocks = Self::decompose(query)?;
+        let mut budget = self.budget.clone();
         let mut result_tuples: Vec<GeneralizedTuple> = Vec::new();
         let n = self
             .samples_per_piece
@@ -234,9 +276,12 @@ impl PositiveQueryEstimator {
                     // Degenerate piece (measure zero): contributes nothing.
                     Err(_) => continue,
                 };
-                let samples = generator.sample_many(n, rng);
-                if samples.len() < output_arity + 1 {
-                    continue;
+                let samples = draw_budgeted(&mut generator, n, &mut budget, rng)?;
+                if samples.len() < output_arity + 1 || samples.len() * 2 < n {
+                    return Err(ReconstructionError::NotEnoughSamples {
+                        requested: n,
+                        produced: samples.len(),
+                    });
                 }
                 let points: Vec<Vector> =
                     samples.iter().map(|p| Vector::from(p.as_slice())).collect();
@@ -256,6 +301,7 @@ impl PositiveQueryEstimator {
 mod tests {
     use super::*;
     use cdb_geometry::volume::{symmetric_difference_volume, union_volume};
+    use cdb_sampler::BudgetTrip;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -333,6 +379,63 @@ mod tests {
             "relative symmetric difference {}",
             sd / truth
         );
+    }
+
+    #[test]
+    fn one_budget_spans_every_draw_of_the_reconstruction() {
+        let mut db = Database::new();
+        db.insert(
+            "R",
+            GeneralizedRelation::from_box_f64(&[0.0, 0.0, 0.0], &[2.0, 1.0, 1.0]),
+        );
+        let q = Formula::exists(vec![2], Formula::rel("R", vec![0, 1, 2]));
+        let est = || PositiveQueryEstimator::new(fast(), 0.25, 0.25).with_samples_per_piece(100);
+        // Every draw charges at least one attempt, so a one-attempt budget
+        // trips on the second draw of the piece.
+        let starved = est().with_budget(QueryBudget::unlimited().with_max_attempts(1));
+        assert_eq!(
+            starved.estimate(&db, &q, 2, &mut StdRng::seed_from_u64(107)),
+            Err(ReconstructionError::BudgetExhausted(BudgetTrip::Attempts))
+        );
+        // A budget that never trips draws exactly the unbudgeted stream.
+        let free = est().estimate(&db, &q, 2, &mut StdRng::seed_from_u64(108));
+        let ample = QueryBudget::unlimited()
+            .with_max_attempts(1 << 40)
+            .with_max_steps(1 << 50);
+        let budgeted =
+            est()
+                .with_budget(ample)
+                .estimate(&db, &q, 2, &mut StdRng::seed_from_u64(108));
+        assert!(free.is_ok());
+        assert_eq!(free, budgeted);
+    }
+
+    #[test]
+    fn under_sampled_pieces_are_errors_and_flat_pieces_are_skipped() {
+        let mut db = Database::new();
+        db.insert(
+            "R",
+            GeneralizedRelation::from_box_f64(&[0.0, 0.0, 0.0], &[2.0, 1.0, 1.0]),
+        );
+        // Flat in x2: measure zero in the ambient space, so it has no
+        // projection generator and contributes nothing.
+        db.insert(
+            "F",
+            GeneralizedRelation::from_box_f64(&[0.0, 0.0, 0.5], &[1.0, 1.0, 0.5]),
+        );
+        let full = Formula::exists(vec![2], Formula::rel("R", vec![0, 1, 2]));
+        let flat = Formula::exists(vec![2], Formula::rel("F", vec![0, 1, 2]));
+        // Two points cannot span a 2-D hull: the piece is under-sampled,
+        // which is an error rather than an empty answer.
+        let est = PositiveQueryEstimator::new(fast(), 0.25, 0.25).with_samples_per_piece(2);
+        assert!(matches!(
+            est.estimate(&db, &full, 2, &mut StdRng::seed_from_u64(109)),
+            Err(ReconstructionError::NotEnoughSamples { requested: 2, .. })
+        ));
+        let skipped = est
+            .estimate(&db, &flat, 2, &mut StdRng::seed_from_u64(110))
+            .unwrap();
+        assert!(skipped.tuples().is_empty());
     }
 
     #[test]

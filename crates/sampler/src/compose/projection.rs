@@ -330,6 +330,12 @@ impl ProjectionGenerator {
         self.selector_built = warm.selector_built;
     }
 
+    /// Usage tallies of the most recent budgeted `sample` call, which lets a
+    /// caller charge a sequence of draws to one shared budget.
+    pub fn budget_meter(&self) -> &crate::budget::BudgetMeter {
+        self.scratch.budget_meter()
+    }
+
     /// Observed acceptance rate of the compensation step.
     pub fn acceptance_rate(&self) -> f64 {
         if self.attempts == 0 {

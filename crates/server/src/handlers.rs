@@ -248,11 +248,18 @@ fn volume(state: &AppState, request: &Request) -> Result<Json, AppError> {
     Ok(volume_response(&outcome))
 }
 
+/// The spec name of a reconstruction: it names the query in errors and
+/// keys its budget override, which caps the whole reconstruction. A
+/// relation called `query` shares that override.
+const RECONSTRUCT_NAME: &str = "query";
+
 fn reconstruct(state: &AppState, request: &Request) -> Result<Json, AppError> {
     let body = body_json(state, request)?;
     let req = ReconstructRequest::decode(&body)?;
+    let budget = resolve_budget(state, RECONSTRUCT_NAME, &body)?;
     let db = read_db(state);
-    let spec = QuerySpec::reconstruct("query", req.query.clone(), req.output_arity);
+    let spec = QuerySpec::reconstruct(RECONSTRUCT_NAME, req.query.clone(), req.output_arity)
+        .with_budget(&budget);
     let mut rng = request_stream(&req.seed).rng();
     let outcome = db.query_with_rng(&spec, &mut rng)?;
     let relation = outcome

@@ -185,6 +185,37 @@ fn end_to_end_query_through_the_facade() {
     assert!(diagnostics::relative_error(vol, 4.0) < 0.4, "volume {vol}");
 }
 
+/// A 3-ary reconstruction hulls 2,000 samples in dimension 3. Subset
+/// enumeration (about 1.3·10⁹ triples, each tested against every sample)
+/// never finished it; Quickhull takes milliseconds.
+#[test]
+fn three_ary_reconstruction_of_a_4d_box_is_within_eps() {
+    // A coarse γ-grid keeps the projection sampler's cell search short; the
+    // sample count (2,000) and so the hull's work do not depend on γ.
+    let params = GeneratorParams {
+        gamma: 0.4,
+        ..fast()
+    };
+    let mut db = SpatialDatabase::with_params(params);
+    db.insert(
+        "R",
+        GeneralizedRelation::from_box_f64(&[0.0, 0.0, 0.0, 0.0], &[1.0, 0.5, 0.75, 1.0]),
+    );
+    let query = parse_formula("exists x3. R(x0, x1, x2, x3)", 4).unwrap();
+    let exact = db.evaluate_exact(&query, 3).unwrap();
+    let exact_vol = union_volume(&exact.to_polytopes());
+    assert!((exact_vol - 0.375).abs() < 1e-9);
+    let spec = QuerySpec::reconstruct("R", query, 3).with_seed(12);
+    let outcome = db.query(&spec).unwrap();
+    let approx = outcome.relation().unwrap();
+    assert_eq!(approx.arity(), 3);
+    let sd = symmetric_difference_volume(&exact.to_polytopes(), &approx.to_polytopes());
+    assert!(
+        sd <= params.eps * exact_vol,
+        "symmetric difference {sd} exceeds eps of the exact volume {exact_vol}"
+    );
+}
+
 #[test]
 fn sat_encoding_distinguishes_satisfiable_from_unsatisfiable() {
     let mut rng = StdRng::seed_from_u64(7);

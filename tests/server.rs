@@ -386,6 +386,27 @@ fn error_status_table_is_complete() {
         assert_eq!(error.get("cause").unwrap().as_str(), Some("attempts"));
         assert_eq!(error.get("completed").unwrap().as_usize(), Some(0));
     }
+    // A reconstruction is budgeted too: one attempt cannot fund the draws
+    // of a 2-ary reconstruction.
+    {
+        let (status, response) = c
+            .request_json(
+                "POST",
+                "/v1/reconstruct",
+                Some(&body(
+                    r#"{"query":"exists x2. R(x0, x2) and R(x1, x2)","arity":3,
+                        "output_arity":2,"seed":1,"budget":{"max_attempts":1}}"#,
+                )),
+            )
+            .unwrap();
+        assert_eq!(status, 429, "{response:?}");
+        let error = response.get("error").unwrap();
+        assert_eq!(
+            error.get("code").unwrap().as_str(),
+            Some("budget_exhausted")
+        );
+        assert_eq!(error.get("cause").unwrap().as_str(), Some("attempts"));
+    }
     // The fault rows run on servers whose databases carry a fault plan; a
     // plan never reaches any other server.
     let faulty = |plan: FaultPlan| {
