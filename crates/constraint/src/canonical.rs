@@ -31,6 +31,7 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use crate::formula::Formula;
 use crate::relation::GeneralizedRelation;
@@ -73,12 +74,62 @@ impl CanonicalKey {
     /// Stable 64-bit digest (FNV-1a over the rendering): used for store
     /// sharding and for deriving the key's preparation seed stream.
     pub fn hash64(&self) -> u64 {
-        let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-        for b in self.0.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        let mut hasher = ContentHasher(FNV_OFFSET);
+        hasher.write(self.0.as_bytes());
+        hasher.0
+    }
+}
+
+/// A stable 64-bit digest of a value's *exact* content: FNV-1a over its
+/// [`Hash`] stream, with integers fed little-endian so the digest does not
+/// depend on the platform.
+///
+/// Unlike [`CanonicalKey`], two relations equal up to atom order or scaling
+/// get different digests. Prepared state built from the exact atoms (a
+/// generator body, a reconstruction piece) is keyed by it as well, so one
+/// spelling of a set never attaches state built from another spelling.
+pub fn content_digest<T: Hash + ?Sized>(value: &T) -> u64 {
+    let mut hasher = ContentHasher(FNV_OFFSET);
+    value.hash(&mut hasher);
+    hasher.0
+}
+
+const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+
+/// The FNV-1a state behind [`content_digest`].
+struct ContentHasher(u64);
+
+impl Hasher for ContentHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for b in bytes {
+            self.0 ^= u64::from(*b);
+            self.0 = self.0.wrapping_mul(FNV_PRIME);
         }
-        h
+    }
+
+    fn write_u16(&mut self, i: u16) {
+        self.write(&i.to_le_bytes());
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.write(&i.to_le_bytes());
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.write(&i.to_le_bytes());
+    }
+
+    fn write_u128(&mut self, i: u128) {
+        self.write(&i.to_le_bytes());
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.write_u64(i as u64);
     }
 }
 
@@ -393,6 +444,37 @@ mod tests {
 
     fn key(f: &Formula, arity: usize) -> CanonicalKey {
         CanonicalKey::of_formula(f, arity)
+    }
+
+    #[test]
+    fn content_digest_sees_exact_content_only() {
+        use crate::tuple::GeneralizedTuple;
+        let a = GeneralizedTuple::new(
+            2,
+            vec![
+                Atom::le_from_ints(&[1, 0], -1),
+                Atom::le_from_ints(&[0, 1], -1),
+            ],
+        );
+        let swapped = GeneralizedTuple::new(
+            2,
+            vec![
+                Atom::le_from_ints(&[0, 1], -1),
+                Atom::le_from_ints(&[1, 0], -1),
+            ],
+        );
+        // Equal up to atom order: one canonical key, two content digests.
+        let rel = |t: &GeneralizedTuple| GeneralizedRelation::from_tuple(t.clone());
+        assert_eq!(
+            CanonicalKey::of_relation(&rel(&a)),
+            CanonicalKey::of_relation(&rel(&swapped))
+        );
+        assert_ne!(content_digest(&a), content_digest(&swapped));
+        assert_eq!(content_digest(&a), content_digest(&a.clone()));
+        // Pinned: FNV-1a over the little-endian bytes of the value, the same
+        // on every platform.
+        assert_eq!(content_digest(&[1u32, 2]), content_digest(&vec![1u32, 2]));
+        assert_eq!(content_digest(&7u64), 0x4BD7_A317_074C_5B62);
     }
 
     #[test]

@@ -57,7 +57,7 @@ mod term;
 mod tuple;
 
 pub use atom::{Atom, CompOp};
-pub use canonical::{canonicalize, CanonicalKey};
+pub use canonical::{canonicalize, content_digest, CanonicalKey};
 pub use database::{Database, Schema};
 pub use formula::Formula;
 pub use parser::{parse_formula, ParseError};

@@ -14,7 +14,7 @@ use crate::ConstraintError;
 /// set `S ⊆ R^d`, stored in disjunctive normal form as a finite union of
 /// generalized tuples. Each tuple is a convex polyhedron, so the relation is
 /// a finite union of convex sets.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct GeneralizedRelation {
     arity: usize,
     tuples: Vec<GeneralizedTuple>,

@@ -9,7 +9,7 @@ use crate::atom::{Atom, CompOp};
 
 /// A *generalized tuple* (Section 2 of the paper): a conjunction of atomic
 /// linear constraints over `d` variables. Geometrically a convex polyhedron.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct GeneralizedTuple {
     arity: usize,
     atoms: Vec<Atom>,

@@ -53,12 +53,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
 
 use cdb_constraint::canonical::CanonicalKey;
-use cdb_constraint::{ConstraintError, Database, Formula, GeneralizedRelation};
-use cdb_reconstruct::ReconstructionError;
+use cdb_constraint::{content_digest, ConstraintError, Database, Formula, GeneralizedRelation};
+use cdb_reconstruct::{PieceStore, ReconstructionError};
 use cdb_sampler::compose::ObservabilityError;
 use cdb_sampler::{
     BudgetTrip, FaultPlan, GeneratorParams, PreparedStore, PreparedStoreStats, RelationGenerator,
-    SeedSequence, UnionGenerator, WalkKind, DEFAULT_PREPARED_STORE_CAPACITY,
+    SeedSequence, UnionGenerator, DEFAULT_PREPARED_STORE_CAPACITY,
 };
 
 /// The phase of query evaluation in which a failure occurred.
@@ -190,25 +190,14 @@ fn mix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A stable fingerprint of every [`GeneratorParams`] field that influences a
-/// prepared body, folded into the preparation seed so the same relation
-/// prepared under different parameters never shares a seed stream.
-fn params_fingerprint(p: &GeneratorParams) -> u64 {
-    let mut acc = mix(p.gamma.to_bits());
-    for word in [
-        p.eps.to_bits(),
-        p.delta.to_bits(),
-        p.walk_steps_factor as u64,
-        match p.walk {
-            WalkKind::HitAndRun => 1,
-            WalkKind::Ball => 2,
-            WalkKind::Grid { step_ratio } => mix(3 ^ step_ratio.to_bits()),
-        },
-        u64::from(p.rounding),
-    ] {
-        acc = mix(acc ^ word);
-    }
-    acc
+/// The store key of a stored relation: its canonical form plus a digest of
+/// its exact content. Relations equal up to atom order or scaling share the
+/// canonical form, but their bodies are built from their own atoms and
+/// differ in the last bits, so they get separate entries.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+struct RelationKey {
+    canonical: CanonicalKey,
+    content: u64,
 }
 
 /// A spatial constraint database with approximate evaluation capabilities.
@@ -216,25 +205,36 @@ fn params_fingerprint(p: &GeneratorParams) -> u64 {
 /// # The prepared-relation store
 ///
 /// Every sample and volume query routes through a keyed, concurrency-safe
-/// [`PreparedStore`] mapping the *canonical form* of a stored relation's
-/// defining formula (see [`cdb_constraint::canonical`]) to its fully
-/// prepared generator body — certificates, pilot volume estimates, rounding
+/// [`PreparedStore`] mapping a stored relation to its fully prepared
+/// generator body — certificates, pilot volume estimates, rounding
 /// transforms — so repeated and concurrent queries over overlapping
-/// relations pay preprocessing once. Preparation randomness is derived from
-/// the canonical key and a fingerprint of the generator parameters, never
-/// from the caller's stream, which makes the store *bitwise invisible*:
-/// results are identical whether the store is cold, warm, shared across
-/// threads, capacity-evicting, or disabled
-/// ([`SpatialDatabase::with_store_capacity`] with capacity `0`).
+/// relations pay preprocessing once. The key is the *canonical form* of the
+/// relation's defining formula (see [`cdb_constraint::canonical`]) plus a
+/// digest of its exact content ([`content_digest`]), so names holding the
+/// same content share one body. Preparation randomness is derived from the
+/// canonical key and a fingerprint of the generator parameters, never from
+/// the caller's stream, which makes the store *bitwise invisible*: results
+/// are identical whether the store is cold, warm, shared across threads,
+/// capacity-evicting, or disabled ([`SpatialDatabase::with_store_capacity`]
+/// with capacity `0`).
+///
+/// Reconstruction pieces get the same treatment in a second store of the
+/// same capacity: each convex piece's projection generator, stratified
+/// selector included, is prepared once per (exact piece content, kept
+/// coordinates, parameters) — see [`cdb_reconstruct::PieceKey`] — and an
+/// entry takes at most about `max_enumerated_cells × 28 B`.
+/// [`SpatialDatabase::store_stats`] counts both stores.
 #[derive(Debug, Default)]
 pub struct SpatialDatabase {
     database: Database,
     params: GeneratorParams,
-    /// Prepared generator bodies, keyed by canonical formula.
-    store: PreparedStore<CanonicalKey, UnionGenerator>,
-    /// Memo of name → canonical key (keys are content-derived, so this is
+    /// Prepared generator bodies, keyed by canonical form and content.
+    store: PreparedStore<RelationKey, UnionGenerator>,
+    /// Prepared reconstruction pieces, at the same capacity as `store`.
+    pieces: PieceStore,
+    /// Memo of name → store key (keys are content-derived, so this is
     /// pure caching; invalidated when a relation is replaced).
-    keys: RwLock<HashMap<String, CanonicalKey>>,
+    keys: RwLock<HashMap<String, RelationKey>>,
     /// Worker panics contained by seeded batch queries; merged into
     /// [`SpatialDatabase::store_stats`] as `panics_recovered`.
     contained_panics: AtomicU64,
@@ -254,18 +254,21 @@ impl SpatialDatabase {
             database: Database::new(),
             params,
             store: PreparedStore::new(DEFAULT_PREPARED_STORE_CAPACITY),
+            pieces: PieceStore::new(DEFAULT_PREPARED_STORE_CAPACITY),
             keys: RwLock::new(HashMap::new()),
             contained_panics: AtomicU64::new(0),
             faults: FaultPlan::new(),
         }
     }
 
-    /// Replaces the prepared-relation store with one of the given capacity.
-    /// Capacity `0` disables caching entirely — every query prepares from
-    /// scratch, which is bitwise identical to the cached paths and is the
-    /// baseline the determinism suite pins the cached paths to.
+    /// Replaces the prepared-relation store, and the reconstruction-piece
+    /// store beside it, with stores of the given capacity. Capacity `0`
+    /// disables caching entirely — every query prepares from scratch, which
+    /// is bitwise identical to the cached paths and is the baseline the
+    /// determinism suite pins the cached paths to.
     pub fn with_store_capacity(mut self, capacity: usize) -> Self {
         self.store = PreparedStore::new(capacity);
+        self.pieces = PieceStore::new(capacity);
         self
     }
 
@@ -314,28 +317,39 @@ impl SpatialDatabase {
         &self.params
     }
 
-    /// Hit/miss/eviction counters of the prepared-relation store, with this
-    /// database's containment counters merged in: `panics_recovered` counts
-    /// worker panics contained by seeded batch queries and
-    /// `shards_rebuilt` counts poisoned store shards that were discarded and
-    /// rebuilt.
+    /// Hit/miss/eviction counters of the prepared-relation store plus the
+    /// reconstruction-piece store, with this database's containment
+    /// counters merged in: `panics_recovered` counts worker panics
+    /// contained by seeded batch queries and `shards_rebuilt` counts
+    /// poisoned store shards that were discarded and rebuilt.
     pub fn store_stats(&self) -> PreparedStoreStats {
-        let mut stats = self.store.stats();
-        stats.panics_recovered = self.contained_panics.load(Ordering::Relaxed);
-        stats
+        let relations = self.store.stats();
+        let pieces = self.pieces.stats();
+        PreparedStoreStats {
+            hits: relations.hits + pieces.hits,
+            misses: relations.misses + pieces.misses,
+            evictions: relations.evictions + pieces.evictions,
+            len: relations.len + pieces.len,
+            shards_rebuilt: relations.shards_rebuilt + pieces.shards_rebuilt,
+            panics_recovered: self.contained_panics.load(Ordering::Relaxed),
+        }
     }
 
-    /// Capacity of the prepared-relation store (`0` = disabled).
+    /// Capacity of the prepared-relation store, and of the piece store
+    /// beside it (`0` = disabled).
     pub fn store_capacity(&self) -> usize {
         self.store.capacity()
     }
 
-    /// The canonical cache key of the named relation (memoized per name).
-    fn relation_key(&self, name: &str, relation: &GeneralizedRelation) -> CanonicalKey {
+    /// The store key of the named relation (memoized per name).
+    fn relation_key(&self, name: &str, relation: &GeneralizedRelation) -> RelationKey {
         if let Some(key) = self.keys.read().expect("canonical-key memo lock").get(name) {
             return key.clone();
         }
-        let key = CanonicalKey::of_relation(relation);
+        let key = RelationKey {
+            canonical: CanonicalKey::of_relation(relation),
+            content: content_digest(relation),
+        };
         self.keys
             .write()
             .expect("canonical-key memo lock")
@@ -351,8 +365,8 @@ impl SpatialDatabase {
     }
 
     /// The seed sequence that funds the preparation of the body under `key`.
-    fn preparation_seed_of(&self, key: &CanonicalKey) -> SeedSequence {
-        SeedSequence::new(mix(key.hash64() ^ params_fingerprint(&self.params)))
+    fn preparation_seed_of(&self, key: &RelationKey) -> SeedSequence {
+        SeedSequence::new(mix(key.canonical.hash64() ^ self.params.fingerprint()))
     }
 
     /// The seed sequence that funds the named relation's preparation. It is

@@ -480,7 +480,8 @@ impl SpatialDatabase {
     /// The reconstruction arm shared by both execution modes. The whole
     /// reconstruction runs under [`QueryOptions::budget`]; a trip is
     /// reported as [`SpatialDbError::BudgetExhausted`] under the spec's
-    /// relation name.
+    /// relation name. Pieces are prepared into this database's piece
+    /// store, so a repeated query pays each piece's set-up once.
     fn run_reconstruct<R: Rng + ?Sized>(
         &self,
         spec: &QuerySpec,
@@ -495,7 +496,7 @@ impl SpatialDatabase {
         )
         .with_budget(spec.options.budget.clone());
         let relation = estimator
-            .estimate(&self.database, query, output_arity, rng)
+            .estimate_with_store(&self.database, query, output_arity, &self.pieces, rng)
             .map_err(|e| match e {
                 ReconstructionError::BudgetExhausted(cause) => SpatialDbError::BudgetExhausted {
                     relation: spec.relation.clone(),

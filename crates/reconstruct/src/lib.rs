@@ -14,16 +14,20 @@
 //! * [`ProjectionQueryEstimator`] — Algorithm 3 (Proposition 4.3): projection
 //!   queries over a convex relation;
 //! * [`PositiveQueryEstimator`] — Algorithms 4 and 5 (Theorem 4.4): arbitrary
-//!   positive existential queries over a database of observable relations.
+//!   positive existential queries over a database of observable relations;
+//! * [`PieceStore`] — prepared reconstruction pieces, so each piece's
+//!   Algorithm 2 set-up is paid once per piece content, not per query.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod convex;
+mod pieces;
 mod query;
 
 pub use convex::{
     default_hull_sample_size, hull_sample_size, ConvexReconstructor, ReconstructionError,
     DEFAULT_SAMPLE_CAP,
 };
+pub use pieces::{PieceKey, PieceStore};
 pub use query::{PositiveQueryEstimator, ProjectionQueryEstimator};

@@ -13,6 +13,7 @@ use cdb_num::Rational;
 use cdb_sampler::{GeneratorParams, ProjectionGenerator, QueryBudget, RelationGenerator};
 
 use crate::convex::{default_hull_sample_size, ReconstructionError};
+use crate::pieces::{prepared_piece, PieceStore};
 
 /// Converts a reconstructed hull polytope back into a generalized tuple so
 /// the result can be fed back into the constraint layer.
@@ -56,7 +57,9 @@ impl ProjectionQueryEstimator {
     }
 
     /// Estimates `proj_keep(tuple)` as an H-polytope in dimension
-    /// `keep.len()`. `n_samples` overrides the Lemma 4.1 sample size.
+    /// `keep.len()`. `n_samples` overrides the Lemma 4.1 sample size. The
+    /// generator is prepared as a reconstruction piece (see
+    /// [`crate::PieceKey`]), so `rng` funds only the draws.
     pub fn estimate<R: Rng + ?Sized>(
         &self,
         tuple: &GeneralizedTuple,
@@ -64,7 +67,7 @@ impl ProjectionQueryEstimator {
         n_samples: Option<usize>,
         rng: &mut R,
     ) -> Result<HPolytope, ReconstructionError> {
-        let mut generator = ProjectionGenerator::new(tuple, keep, self.params, rng)
+        let mut generator = prepared_piece(&PieceStore::new(0), tuple, keep, self.params)
             .map_err(|e| ReconstructionError::UnsupportedQuery(e.to_string()))?;
         let e = keep.len();
         let n = n_samples.unwrap_or_else(|| default_hull_sample_size(e, self.eps, self.delta));
@@ -133,6 +136,13 @@ fn draw_budgeted<R: Rng + ?Sized>(
 /// and linear atoms by conjunction and existential quantification. Each
 /// `φ_i` is sampled with the composed generators (intersection + projection),
 /// its samples are hulled, and the result is the union of the hulls.
+///
+/// Each convex piece's projection generator is a prepared piece (see
+/// [`crate::PieceStore`]): keyed by the piece's exact tuple, the kept
+/// coordinates and the parameter fingerprint, built from a seed derived
+/// from that key, and shared through a store by
+/// [`PositiveQueryEstimator::estimate_with_store`]. A store entry is
+/// bounded by `max_enumerated_cells × ~28 B`.
 #[derive(Debug)]
 pub struct PositiveQueryEstimator {
     params: GeneratorParams,
@@ -157,9 +167,9 @@ impl PositiveQueryEstimator {
     /// Bounds the work of one [`PositiveQueryEstimator::estimate`] call.
     /// The whole reconstruction is one query: the walk steps and attempts
     /// of every draw, over every piece, add up against the one budget, and
-    /// a trip returns [`ReconstructionError::BudgetExhausted`]. Building a
-    /// piece's generator (its walk set-up and stratified selector) is
-    /// set-up work and is not charged.
+    /// a trip returns [`ReconstructionError::BudgetExhausted`]. Preparing a
+    /// piece (its walk set-up and stratified selector) is set-up work and
+    /// is not charged.
     pub fn with_budget(mut self, budget: QueryBudget) -> Self {
         self.budget = budget;
         self
@@ -231,11 +241,29 @@ impl PositiveQueryEstimator {
 
     /// Estimates the query result over the database, returning a generalized
     /// relation of the given output arity (free variables `x_0 … x_{arity−1}`).
+    /// Every piece is prepared afresh: this is
+    /// [`PositiveQueryEstimator::estimate_with_store`] over a disabled
+    /// store, and bitwise equal to it over any store.
     pub fn estimate<R: Rng + ?Sized>(
         &self,
         db: &Database,
         query: &Formula,
         output_arity: usize,
+        rng: &mut R,
+    ) -> Result<GeneralizedRelation, ReconstructionError> {
+        self.estimate_with_store(db, query, output_arity, &PieceStore::new(0), rng)
+    }
+
+    /// [`PositiveQueryEstimator::estimate`] with each piece's projection
+    /// generator fetched from (or prepared into) `pieces`. A piece is
+    /// prepared from a seed derived from its [`crate::PieceKey`], so the
+    /// store state never changes a result: `rng` funds only the draws.
+    pub fn estimate_with_store<R: Rng + ?Sized>(
+        &self,
+        db: &Database,
+        query: &Formula,
+        output_arity: usize,
+        pieces: &PieceStore,
         rng: &mut R,
     ) -> Result<GeneralizedRelation, ReconstructionError> {
         let blocks = Self::decompose(query)?;
@@ -260,7 +288,7 @@ impl PositiveQueryEstimator {
                 .map_err(|e| ReconstructionError::Constraint(e.to_string()))?;
             let keep: Vec<usize> = (0..output_arity).collect();
 
-            // Each convex piece of the block is sampled through the
+            // Each convex piece of the block is sampled through its prepared
             // projection generator (Algorithm 2) and hulled (Algorithm 4).
             for tuple in relation.tuples() {
                 if tuple.closure_is_empty() {
@@ -271,7 +299,7 @@ impl PositiveQueryEstimator {
                     result_tuples.push(tuple.clone());
                     continue;
                 }
-                let mut generator = match ProjectionGenerator::new(tuple, &keep, self.params, rng) {
+                let mut generator = match prepared_piece(pieces, tuple, &keep, self.params) {
                     Ok(g) => g,
                     // Degenerate piece (measure zero): contributes nothing.
                     Err(_) => continue,

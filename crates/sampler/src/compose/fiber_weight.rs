@@ -50,6 +50,10 @@ pub const DEFAULT_WEIGHT_CACHE_CAPACITY: usize = 4096;
 /// cascade (and its lazy per-coarse-cell tables honor the same bound).
 pub const DEFAULT_MAX_ENUMERATED_CELLS: usize = 1 << 16;
 
+/// Upper bound on [`ProjectionParams::max_enumerated_cells`]: the stratified
+/// selector addresses its cells by `u32` odometer index.
+pub const MAX_ENUMERATED_CELLS: usize = u32::MAX as usize;
+
 /// Linear-probe window of the open-addressing table: a lookup inspects at
 /// most this many slots, and an insert evicts the least-recently-used entry
 /// within the window when all of them are occupied.
@@ -100,7 +104,9 @@ pub struct ProjectionParams {
     pub cell_selection: CellSelection,
     /// Largest cell enumeration the stratified layer may build eagerly
     /// (full enumeration under [`CellSelection::Stratified`], per-coarse-cell
-    /// fine tables under [`CellSelection::CoarseToFine`]).
+    /// fine tables under [`CellSelection::CoarseToFine`]). A full
+    /// enumeration keeps about 28 B per occupied cell, so this also bounds
+    /// the selector's memory. At most [`MAX_ENUMERATED_CELLS`].
     pub max_enumerated_cells: usize,
 }
 
@@ -189,8 +195,11 @@ impl ProjectionParams {
                 return Err(format!("{name} must lie in (0, 1), got {v}"));
             }
         }
-        if self.max_enumerated_cells == 0 {
-            return Err("max_enumerated_cells must be positive".into());
+        if self.max_enumerated_cells == 0 || self.max_enumerated_cells > MAX_ENUMERATED_CELLS {
+            return Err(format!(
+                "max_enumerated_cells must lie in [1, {MAX_ENUMERATED_CELLS}], got {}",
+                self.max_enumerated_cells
+            ));
         }
         Ok(())
     }
@@ -221,10 +230,17 @@ struct Entry {
 /// body — is tiny compared to the default capacity). All operations are
 /// deterministic functions of the call sequence, so caching never perturbs
 /// batch determinism.
+///
+/// The table is allocated on the first insert, so a generator that never
+/// fills through the memo (a stratified piece enumerates its cells directly)
+/// never holds the slots.
 #[derive(Clone, Debug)]
 pub struct FiberWeightCache {
+    /// Empty until the first insert; then `size` slots.
     slots: Vec<Option<Entry>>,
-    /// `slots.len() - 1` when enabled (power-of-two table).
+    /// Slot count of the table (a power of two), `0` when disabled.
+    size: usize,
+    /// `size - 1` when enabled (power-of-two table).
     mask: usize,
     tick: u64,
     hits: u64,
@@ -237,22 +253,18 @@ impl FiberWeightCache {
     /// `usize::MAX` stays finite); `0` builds a disabled cache that never
     /// stores anything.
     pub fn new(capacity: usize) -> Self {
-        if capacity == 0 {
-            return FiberWeightCache {
-                slots: Vec::new(),
-                mask: 0,
-                tick: 0,
-                hits: 0,
-                misses: 0,
-            };
-        }
-        let size = capacity
-            .min(MAX_CACHE_SLOTS)
-            .next_power_of_two()
-            .max(PROBE_WINDOW);
+        let size = if capacity == 0 {
+            0
+        } else {
+            capacity
+                .min(MAX_CACHE_SLOTS)
+                .next_power_of_two()
+                .max(PROBE_WINDOW)
+        };
         FiberWeightCache {
-            slots: vec![None; size],
-            mask: size - 1,
+            slots: Vec::new(),
+            size,
+            mask: size.saturating_sub(1),
             tick: 0,
             hits: 0,
             misses: 0,
@@ -261,11 +273,16 @@ impl FiberWeightCache {
 
     /// `true` when the cache can store entries (capacity > 0).
     pub fn is_enabled(&self) -> bool {
-        !self.slots.is_empty()
+        self.size > 0
     }
 
-    /// Number of slots in the table.
+    /// Number of slots in the table once allocated.
     pub fn capacity(&self) -> usize {
+        self.size
+    }
+
+    /// Number of slots allocated so far: `0` until the first insert.
+    pub fn allocated_slots(&self) -> usize {
         self.slots.len()
     }
 
@@ -343,44 +360,21 @@ impl FiberWeightCache {
     /// Iterates over the warm cells: `(integer grid key, stored weight)` for
     /// every occupied slot, in table order. Table order depends on the fill
     /// history, so callers that need the canonical deterministic order must
-    /// sort by the integer key (the stratified layer enumerates cells
-    /// directly in odometer order instead and only uses the cache as a
-    /// memo, precisely to avoid that dependency).
+    /// sort by the integer key.
     pub fn iter(&self) -> impl Iterator<Item = (&[i64], f64)> {
         self.slots
             .iter()
             .filter_map(|s| s.as_ref().map(|e| (e.key.as_slice(), e.weight)))
     }
 
-    /// Exports the warm cells in canonical order (sorted by integer grid
-    /// key) for sharing through the prepared-relation store. Table order is
-    /// fill-history dependent, so the export sorts: importing the result
-    /// yields a table state that is a pure function of the warm *set*,
-    /// independent of the insertion history that produced it.
-    pub fn export_warm(&self) -> Vec<(Vec<i64>, f64)> {
-        let mut cells: Vec<(Vec<i64>, f64)> = self.iter().map(|(k, w)| (k.to_vec(), w)).collect();
-        cells.sort_by(|a, b| a.0.cmp(&b.0));
-        cells
-    }
-
-    /// Replays a warm export into this cache in its canonical (sorted)
-    /// order. Existing contents, stamps and hit/miss counters are kept;
-    /// callers wanting a deterministic table state import into a fresh
-    /// cache. No-op on a disabled cache.
-    pub fn import_warm(&mut self, cells: &[(Vec<i64>, f64)]) {
-        let mut order: Vec<usize> = (0..cells.len()).collect();
-        order.sort_by(|&a, &b| cells[a].0.cmp(&cells[b].0));
-        for i in order {
-            let (key, weight) = &cells[i];
-            self.insert(key, *weight);
-        }
-    }
-
     /// [`FiberWeightCache::insert`] with the key's hash precomputed.
     pub fn insert_hashed(&mut self, hash: u64, key: &[i64], weight: f64) {
         debug_assert_eq!(hash, Self::key_hash(key), "stale key hash");
-        if self.slots.is_empty() {
+        if self.size == 0 {
             return;
+        }
+        if self.slots.is_empty() {
+            self.slots = vec![None; self.size];
         }
         let base = hash as usize & self.mask;
         self.tick += 1;
@@ -446,6 +440,19 @@ mod tests {
         let c = FiberWeightCache::new(usize::MAX);
         assert!(c.is_enabled());
         assert_eq!(c.capacity(), MAX_CACHE_SLOTS);
+    }
+
+    #[test]
+    fn slots_are_allocated_on_the_first_insert() {
+        let mut c = FiberWeightCache::new(64);
+        assert_eq!(c.get(&[1]), None);
+        assert_eq!(c.allocated_slots(), 0, "a lookup allocated the table");
+        c.insert(&[1], 2.0);
+        assert_eq!(c.allocated_slots(), 64);
+        assert_eq!(c.get(&[1]), Some(2.0));
+        let mut disabled = FiberWeightCache::new(0);
+        disabled.insert(&[1], 2.0);
+        assert_eq!(disabled.allocated_slots(), 0);
     }
 
     #[test]
@@ -543,6 +550,10 @@ mod tests {
         assert_eq!(strat.cell_selection, CellSelection::Stratified);
         assert!(strat.with_max_enumerated_cells(0).validate().is_err());
         assert!(strat.with_max_enumerated_cells(128).validate().is_ok());
+        assert!(strat
+            .with_max_enumerated_cells(MAX_ENUMERATED_CELLS + 1)
+            .validate()
+            .is_err());
     }
 
     #[test]

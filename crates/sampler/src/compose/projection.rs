@@ -25,6 +25,8 @@
 //!    randomness derived from the cell key, so the weight stays a pure
 //!    function of the cell and caching is invisible to the output stream.
 
+use std::sync::Arc;
+
 use rand::Rng;
 
 use cdb_constraint::GeneralizedTuple;
@@ -39,32 +41,6 @@ use crate::dfk::DfkSampler;
 use crate::oracle::ConvexBody;
 use crate::params::{GeneratorParams, RelationGenerator, RelationVolumeEstimator, SeedSequence};
 use crate::walk::WalkScratch;
-
-/// Warm selector and weight-cache state captured from a
-/// [`ProjectionGenerator`], shareable between generators over the same
-/// relation and parameters (see
-/// [`ProjectionGenerator::export_warm_state`]). Opaque by design: the
-/// fields tie into the generator's lazy-selector internals.
-#[derive(Clone, Debug)]
-pub struct ProjectionWarmState {
-    /// Warm weight cells in canonical (key-sorted) order.
-    cells: Vec<(Vec<i64>, f64)>,
-    strata: Option<StratifiedCells>,
-    coarse: Option<CoarseMap>,
-    selector_built: bool,
-}
-
-impl ProjectionWarmState {
-    /// Number of warm weight cells carried by this state.
-    pub fn warm_cells(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Whether the lazily built cell selector is included.
-    pub fn has_selector(&self) -> bool {
-        self.selector_built
-    }
-}
 
 /// Generator and volume estimator for the projection `T = proj_I(S)` of a
 /// convex relation `S` onto the coordinates `I`.
@@ -103,8 +79,10 @@ pub struct ProjectionGenerator {
     keep_hi: Vec<f64>,
     /// Fully-enumerated stratified selector (built lazily: enumeration costs
     /// one weight fill per candidate cell, which callers that never sample —
-    /// e.g. weight-only diagnostics — should not pay).
-    strata: Option<StratifiedCells>,
+    /// e.g. weight-only diagnostics — should not pay). Immutable once built,
+    /// so clones share it: attaching a copy of a prepared generator bumps a
+    /// reference count instead of copying every cell.
+    strata: Option<Arc<StratifiedCells>>,
     /// Coarse-to-fine cascade state (lazy, same reason).
     coarse: Option<CoarseMap>,
     /// Whether the lazy selector state has been built.
@@ -290,44 +268,12 @@ impl ProjectionGenerator {
     /// [`CellSelection::Stratified`] (or the body has no occupied cell).
     pub fn stratified_cells(&mut self) -> Option<&StratifiedCells> {
         self.ensure_selector();
-        self.strata.as_ref()
+        self.strata.as_deref()
     }
 
     /// The memoized-weight cache (hit/miss statistics, occupancy).
     pub fn weight_cache(&self) -> &FiberWeightCache {
         &self.cache
-    }
-
-    /// Exports the generator's warm selector and weight-cache state for
-    /// sharing through the prepared-relation store: the weight cells in
-    /// canonical (sorted) order, plus the lazily built stratified /
-    /// coarse-cascade selector. Estimated weights are pure functions of
-    /// `(weight_seed, cell)`, so a peer generator over the same relation and
-    /// parameters can import this state without changing any result — it
-    /// only skips the recomputation.
-    pub fn export_warm_state(&self) -> ProjectionWarmState {
-        ProjectionWarmState {
-            cells: self.cache.export_warm(),
-            strata: self.strata.clone(),
-            coarse: self.coarse.clone(),
-            selector_built: self.selector_built,
-        }
-    }
-
-    /// Installs a warm state captured by
-    /// [`ProjectionGenerator::export_warm_state`] from a generator built
-    /// over the same relation and parameters. The weight cache is rebuilt
-    /// from scratch in canonical order, so the resulting table state is a
-    /// pure function of the warm set — independent of the fill history that
-    /// produced it — and sampling after an import is bitwise identical to
-    /// sampling after recomputing every imported cell.
-    pub fn import_warm_state(&mut self, warm: &ProjectionWarmState) {
-        let mut cache = FiberWeightCache::new(self.params.cache_capacity);
-        cache.import_warm(&warm.cells);
-        self.cache = cache;
-        self.strata = warm.strata.clone();
-        self.coarse = warm.coarse.clone();
-        self.selector_built = warm.selector_built;
     }
 
     /// Usage tallies of the most recent budgeted `sample` call, which lets a
@@ -491,7 +437,8 @@ impl ProjectionGenerator {
     /// randomness**: cells are enumerated in odometer order and their
     /// weights are pure functions of `(weight_seed, cell)`, so a generator
     /// that builds its selector early, late, or in a batch worker's clone
-    /// draws bitwise identical streams.
+    /// draws bitwise identical streams. Enumeration visits each cell once,
+    /// so it fills weights directly and leaves the memo untouched.
     fn ensure_selector(&mut self) {
         if self.selector_built {
             return;
@@ -502,16 +449,10 @@ impl ProjectionGenerator {
                 let Some(range) = self.range.clone() else {
                     return;
                 };
-                let mut keys = Vec::new();
-                range.for_each_key(|k| keys.push(k.to_vec()));
-                let cells: Vec<(Vec<i64>, f64)> = keys
-                    .into_iter()
-                    .map(|key| {
-                        let w = self.cell_mass_keyed(&key).min(1.0);
-                        (key, w)
-                    })
-                    .collect();
-                self.strata = StratifiedCells::from_weighted_keys(cells);
+                self.strata = StratifiedCells::enumerate(range, |key| {
+                    self.fill_mass(key, FiberWeightCache::key_hash(key))
+                })
+                .map(Arc::new);
             }
             CellSelection::CoarseToFine => {
                 if let Some(range) = self.range.clone() {
@@ -545,9 +486,7 @@ impl ProjectionGenerator {
     /// succeeds (`None` only when the enumeration found no occupied cell).
     fn sample_stratified<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Option<Vec<f64>> {
         self.ensure_selector();
-        if self.strata.is_none() {
-            return None;
-        }
+        let strata = self.strata.as_deref()?;
         // One alias draw per call: charge one attempt so cancellation and
         // deadlines still reach the (otherwise loop-free) fast path.
         if !self.scratch.budget_meter_mut().charge_attempt() {
@@ -555,11 +494,8 @@ impl ProjectionGenerator {
         }
         self.attempts += 1;
         self.accepted += 1;
-        let key = {
-            let strata = self.strata.as_ref().expect("checked above");
-            strata.sample_key(rng).to_vec()
-        };
-        Some(self.jitter_cell(&key, rng))
+        strata.sample_key_into(rng, &mut self.key_buf);
+        Some(self.jitter_cell(&self.key_buf, rng))
     }
 
     /// The coarse-to-fine cascade: draw a coarse cell uniformly from the
@@ -785,8 +721,9 @@ mod tests {
                 "outside projection: {p:?}"
             );
         }
-        // The enumeration warmed the cache (one fill per candidate cell).
-        assert!(gen.weight_cache().len() > 0, "enumeration filled nothing");
+        // The enumeration filled each cell once, directly: the memo never
+        // allocated its table.
+        assert_eq!(gen.weight_cache().allocated_slots(), 0);
         let strata = gen.stratified_cells().expect("occupied cells exist");
         assert!(
             strata.len() > 50,

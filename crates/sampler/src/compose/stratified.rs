@@ -238,41 +238,78 @@ impl CellRange {
 /// The fully-enumerated stratified selector: occupied cells in odometer
 /// order, their `min(raw, 1)` selection weights, and the alias table over
 /// them.
+///
+/// A cell is stored as its `u32` odometer index into the enumerated
+/// [`CellRange`] and decoded into integer grid coordinates on draw, so an
+/// occupied cell costs about 28 B (index, weight, alias slot) whatever the
+/// projection dimension. Built once per prepared piece and shared
+/// read-only by every attached copy of the generator.
 #[derive(Clone, Debug)]
 pub struct StratifiedCells {
-    /// Integer grid keys of the cells with positive selection weight, in
-    /// odometer order.
-    keys: Vec<Vec<i64>>,
-    /// Selection weight `min(raw, 1)` of each key (aligned with `keys`).
+    /// The enumerated cell range the indices decode against.
+    range: CellRange,
+    /// Odometer indices of the cells with positive selection weight, in
+    /// increasing (odometer) order.
+    cells: Vec<u32>,
+    /// Selection weight `min(raw, 1)` of each cell (aligned with `cells`).
     weights: Vec<f64>,
     /// Alias table over `weights`.
     table: AliasTable,
 }
 
 impl StratifiedCells {
-    /// Builds the selector from `(key, weight)` pairs already in odometer
-    /// order; pairs with non-positive weight are dropped. Returns `None`
-    /// when no cell carries positive weight.
-    pub fn from_weighted_keys(cells: Vec<(Vec<i64>, f64)>) -> Option<Self> {
-        let mut keys = Vec::with_capacity(cells.len());
-        let mut weights = Vec::with_capacity(cells.len());
-        for (key, w) in cells {
+    /// Enumerates `range` in odometer order, weighting each cell by
+    /// `mass_of(key).min(1)` and keeping the cells of positive weight.
+    /// Every cell is visited exactly once. Returns `None` when no cell
+    /// carries positive weight, or when the range has more cells than a
+    /// `u32` index can address.
+    pub fn enumerate<F: FnMut(&[i64]) -> f64>(range: CellRange, mut mass_of: F) -> Option<Self> {
+        if range.cell_count() > u64::from(u32::MAX) {
+            return None;
+        }
+        let mut cells = Vec::new();
+        let mut weights = Vec::new();
+        let mut index: u32 = 0;
+        range.for_each_key(|key| {
+            let w = mass_of(key).min(1.0);
             if w > 0.0 {
-                keys.push(key);
+                cells.push(index);
                 weights.push(w);
             }
-        }
+            index += 1;
+        });
         let table = AliasTable::new(&weights)?;
+        cells.shrink_to_fit();
+        weights.shrink_to_fit();
         Some(StratifiedCells {
-            keys,
+            range,
+            cells,
             weights,
             table,
         })
     }
 
-    /// Occupied cell keys in odometer order.
-    pub fn keys(&self) -> &[Vec<i64>] {
-        &self.keys
+    /// Integer grid keys of every occupied cell, in odometer order.
+    pub fn keys(&self) -> Vec<Vec<i64>> {
+        self.cells
+            .iter()
+            .map(|&index| {
+                let mut key = vec![0; self.range.dim()];
+                self.decode_into(index, &mut key);
+                key
+            })
+            .collect()
+    }
+
+    /// Decodes an odometer index into grid coordinates: the last axis
+    /// varies fastest, as in [`CellRange::for_each_key`].
+    fn decode_into(&self, index: u32, key: &mut [i64]) {
+        let mut rest = u64::from(index);
+        for axis in (0..key.len()).rev() {
+            let extent = (self.range.hi[axis] - self.range.lo[axis] + 1) as u64;
+            key[axis] = self.range.lo[axis] + (rest % extent) as i64;
+            rest /= extent;
+        }
     }
 
     /// Selection weight `min(raw, 1)` of each occupied cell.
@@ -288,17 +325,20 @@ impl StratifiedCells {
 
     /// Number of occupied cells.
     pub fn len(&self) -> usize {
-        self.keys.len()
+        self.cells.len()
     }
 
     /// `true` when no cell carries positive weight (never constructed).
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.cells.is_empty()
     }
 
-    /// Draws an occupied cell key proportionally to its weight.
-    pub fn sample_key<R: Rng + ?Sized>(&self, rng: &mut R) -> &[i64] {
-        &self.keys[self.table.sample(rng)]
+    /// Draws an occupied cell proportionally to its weight and writes its
+    /// integer grid key into `key`.
+    pub fn sample_key_into<R: Rng + ?Sized>(&self, rng: &mut R, key: &mut Vec<i64>) {
+        key.clear();
+        key.resize(self.range.dim(), 0);
+        self.decode_into(self.cells[self.table.sample(rng)], key);
     }
 }
 
@@ -502,17 +542,38 @@ mod tests {
 
     #[test]
     fn stratified_cells_drop_zero_weight_entries() {
-        let cells = vec![
-            (vec![0], 0.0),
-            (vec![1], 0.5),
-            (vec![2], 1.0),
-            (vec![3], 0.0),
-        ];
-        let s = StratifiedCells::from_weighted_keys(cells).unwrap();
+        let range = CellRange {
+            lo: vec![0],
+            hi: vec![3],
+        };
+        let weights = [0.0, 0.5, 1.0, 0.0];
+        let s = StratifiedCells::enumerate(range.clone(), |k| weights[k[0] as usize]).unwrap();
         assert_eq!(s.len(), 2);
-        assert_eq!(s.keys(), &[vec![1], vec![2]]);
+        assert_eq!(s.keys(), vec![vec![1], vec![2]]);
         assert!((s.total_mass() - 1.5).abs() < 1e-12);
-        assert!(StratifiedCells::from_weighted_keys(vec![(vec![0], 0.0)]).is_none());
+        assert!(StratifiedCells::enumerate(range, |_| 0.0).is_none());
+    }
+
+    #[test]
+    fn stratified_cells_decode_odometer_indices() {
+        // A 3 x 2 x 4 range with negative corners: every decoded key is the
+        // key the odometer visited at that index, and masses above 1 clamp.
+        let range = CellRange {
+            lo: vec![-1, 5, -2],
+            hi: vec![1, 6, 1],
+        };
+        let mut visited = Vec::new();
+        range.for_each_key(|k| visited.push(k.to_vec()));
+        let s = StratifiedCells::enumerate(range, |_| 2.0).unwrap();
+        assert_eq!(s.len(), 24);
+        assert_eq!(s.keys(), visited);
+        assert!(s.weights().iter().all(|&w| w == 1.0));
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut key = Vec::new();
+        for _ in 0..64 {
+            s.sample_key_into(&mut rng, &mut key);
+            assert!(visited.contains(&key));
+        }
     }
 
     #[test]

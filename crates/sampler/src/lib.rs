@@ -81,10 +81,10 @@ pub use budget::{BudgetMeter, BudgetTrip, CancelToken, QueryBudget};
 pub use compose::difference::DifferenceGenerator;
 pub use compose::fiber_weight::{
     FiberVolume, FiberWeightCache, ProjectionParams, AUTO_EXACT_MAX_FIBER_DIM,
-    DEFAULT_MAX_ENUMERATED_CELLS, DEFAULT_WEIGHT_CACHE_CAPACITY,
+    DEFAULT_MAX_ENUMERATED_CELLS, DEFAULT_WEIGHT_CACHE_CAPACITY, MAX_ENUMERATED_CELLS,
 };
 pub use compose::intersection::IntersectionGenerator;
-pub use compose::projection::{ProjectionGenerator, ProjectionWarmState};
+pub use compose::projection::ProjectionGenerator;
 pub use compose::stratified::{AliasTable, CellRange, CellSelection, StratifiedCells};
 pub use compose::union::UnionGenerator;
 pub use dfk::DfkSampler;

@@ -154,6 +154,28 @@ impl GeneratorParams {
         ((4.0 * (1.0 / self.delta).ln()).ceil() as usize).clamp(4, 1_000)
     }
 
+    /// A stable fingerprint of every field that influences a prepared body.
+    /// Preparation seeds fold it in, so the same relation prepared under
+    /// different parameters never shares a seed stream.
+    pub fn fingerprint(&self) -> u64 {
+        let mix = |z: u64| mix64(z.wrapping_add(0x9E37_79B9_7F4A_7C15));
+        let mut acc = mix(self.gamma.to_bits());
+        for word in [
+            self.eps.to_bits(),
+            self.delta.to_bits(),
+            self.walk_steps_factor as u64,
+            match self.walk {
+                WalkKind::HitAndRun => 1,
+                WalkKind::Ball => 2,
+                WalkKind::Grid { step_ratio } => mix(3 ^ step_ratio.to_bits()),
+            },
+            u64::from(self.rounding),
+        ] {
+            acc = mix(acc ^ word);
+        }
+        acc
+    }
+
     /// Validates the parameter ranges required by the definitions
     /// (`0 < γ, ε, δ < 1`).
     pub fn validate(&self) -> Result<(), String> {

@@ -9,13 +9,11 @@
 //! strategies, the auto strategy resolution, and the clone semantics the
 //! batch workers rely on.
 //!
-//! Store audit (PR 7): every generator in this file is built directly, so
-//! its weight cache and selector are *private* — equivalent to running
-//! against a disabled prepared-relation store — and the legacy cases below
-//! stay pinned to that baseline verbatim. The warm-state tests at the end
-//! cover the new sharing path: `export_warm_state` / `import_warm_state`
-//! move a warm cache + selector between generators, and must be exactly as
-//! invisible as the private caches are.
+//! Every generator in this file is built directly, so its weight cache and
+//! selector are *private* — equivalent to running against a disabled
+//! prepared store. Sharing a prepared generator is covered at the end: an
+//! attached clone shares the stratified selector and never allocates the
+//! weight memo.
 
 use cdb_sampler::{
     CellSelection, FiberVolume, GeneratorParams, ProjectionGenerator, ProjectionParams,
@@ -113,12 +111,14 @@ fn estimated_strategy_is_cache_invariant_bitwise() {
 #[test]
 fn warm_clones_draw_the_same_stream_as_cold_generators() {
     // Batch workers clone a (possibly warmed) generator; a warm cache must
-    // not shift the worker's stream.
-    let mut original = generator_with(ProjectionParams::new(base_params()));
+    // not shift the worker's stream. Pinned to the rejection loop, the
+    // selection that fills through the memo.
+    let params = ProjectionParams::new(base_params()).with_cell_selection(CellSelection::Rejection);
+    let mut original = generator_with(params);
     let _ = sample_bits(&mut original, 100); // warm the cache
     assert!(original.weight_cache().len() > 0);
     let mut warm_clone = original.clone();
-    let mut cold = generator_with(ProjectionParams::new(base_params()));
+    let mut cold = generator_with(params);
     assert_eq!(
         sample_bits(&mut warm_clone, 80),
         sample_bits(&mut cold, 80),
@@ -198,11 +198,10 @@ fn volume_estimates_are_cache_invariant() {
 
 #[test]
 fn stratified_output_is_cache_state_invariant_bitwise() {
-    // The stratified selector enumerates every candidate cell exactly once
-    // through the same snap→probe→fill weight path the rejection loop uses;
-    // its weights are pure functions of the cell, so a warm, bounded, or
-    // disabled cache must leave the alias table — and with it every emitted
-    // bit — unchanged.
+    // The stratified selector fills every candidate cell exactly once with
+    // the same weight the rejection loop memoizes; its weights are pure
+    // functions of the cell, so the cache capacity must leave the alias
+    // table — and with it every emitted bit — unchanged.
     let base = ProjectionParams::new(base_params()).with_cell_selection(CellSelection::Stratified);
     let mut warm = generator_with(base);
     let mut tiny = generator_with(base.with_cache_capacity(8));
@@ -294,86 +293,100 @@ fn rejection_and_stratified_volumes_agree_on_the_triangle() {
 }
 
 // ---------------------------------------------------------------------------
-// Warm-state export/import (the prepared-relation store's sharing path)
+// Prepared generators: what an attached copy shares and what it holds
 // ---------------------------------------------------------------------------
 
 #[test]
-fn imported_warm_state_is_bitwise_invisible() {
-    // A warm generator exports its cache + selector; a fresh peer imports
-    // them. Both the peer and an untouched cold generator must then draw
-    // bitwise identical streams: warm state only skips recomputation.
-    for (label, mode) in [
-        ("exact", FiberVolume::Exact),
-        ("estimated", FiberVolume::Estimated),
-    ] {
-        // Rejection selection: the compensation loop consults the weight
-        // cache per sample, so imported cells demonstrably get hit (the
-        // stratified selector transfer has its own test below).
-        let proj = ProjectionParams::new(base_params())
-            .with_fiber_volume(mode)
-            .with_cell_selection(CellSelection::Rejection);
-        let mut donor = generator_with(proj);
-        let _ = sample_bits(&mut donor, 256); // fill the cache and selector
-        let warm = donor.export_warm_state();
-        assert!(warm.warm_cells() > 0, "{label}: donor stayed cold");
-
-        let mut importer = generator_with(proj);
-        importer.import_warm_state(&warm);
-        let mut cold = generator_with(proj);
-        assert_eq!(
-            sample_bits(&mut importer, 192),
-            sample_bits(&mut cold, 192),
-            "{label}: imported warm state changed the output stream"
-        );
-        // The import did pay off: the importer answers from the warm cells.
-        assert!(
-            importer.weight_cache().hits() > 0,
-            "{label}: importer never hit its imported cells"
-        );
-    }
-}
-
-#[test]
-fn warm_exports_are_canonical_regardless_of_fill_history() {
-    // Two donors warm their caches through *different* sampling histories.
-    // Exports sort cells by integer key, so importing either must leave the
-    // importer in the same table state — pinned here by comparing the
-    // subsequent streams bitwise.
-    let proj = ProjectionParams::new(base_params())
-        .with_fiber_volume(FiberVolume::Exact)
-        .with_cell_selection(CellSelection::Rejection);
-    let mut donor_a = generator_with(proj);
-    let _ = sample_bits(&mut donor_a, 256);
-    let mut donor_b = generator_with(proj);
-    // Different history: two shorter, differently-seeded passes.
-    let mut rng = StdRng::seed_from_u64(0x5107);
-    let _ = donor_b.sample_many(96, &mut rng);
-    let _ = sample_bits(&mut donor_b, 96);
-
-    let mut via_a = generator_with(proj);
-    via_a.import_warm_state(&donor_a.export_warm_state());
-    let mut via_b = generator_with(proj);
-    via_b.import_warm_state(&donor_b.export_warm_state());
-    assert_eq!(
-        sample_bits(&mut via_a, 160),
-        sample_bits(&mut via_b, 160),
-        "imports from different fill histories diverged"
-    );
-}
-
-#[test]
-fn warm_state_carries_the_stratified_selector() {
+fn attached_clones_share_the_stratified_selector() {
     let proj = ProjectionParams::new(base_params()).with_cell_selection(CellSelection::Stratified);
-    let mut donor = generator_with(proj);
-    let _ = sample_bits(&mut donor, 64);
-    let warm = donor.export_warm_state();
-    assert!(warm.has_selector(), "sampling must build the selector");
-    let mut importer = generator_with(proj);
-    importer.import_warm_state(&warm);
+    let mut prepared = generator_with(proj);
+    prepared.prepare(&SeedSequence::new(1));
+    let mut attached = prepared.clone();
+    let shared: *const _ = prepared.stratified_cells().expect("occupied cells");
+    // Same allocation behind both copies' `Arc`: the clone bumped a count.
+    assert!(std::ptr::eq(
+        shared,
+        attached.stratified_cells().expect("occupied cells")
+    ));
+    // And it draws the stream a cold generator draws.
     let mut cold = generator_with(proj);
+    assert_eq!(sample_bits(&mut attached, 64), sample_bits(&mut cold, 64));
+}
+
+#[test]
+fn a_prepared_stratified_piece_holds_no_weight_slots() {
+    let mut prepared = generator_with(ProjectionParams::new(base_params()));
     assert_eq!(
-        sample_bits(&mut importer, 128),
-        sample_bits(&mut cold, 128),
-        "imported stratified selector changed the output stream"
+        prepared.resolved_cell_selection(),
+        CellSelection::Stratified
     );
+    prepared.prepare(&SeedSequence::new(1));
+    let _ = sample_bits(&mut prepared, 32);
+    assert!(prepared.weight_cache().is_enabled());
+    assert_eq!(prepared.weight_cache().allocated_slots(), 0);
+    assert_eq!(
+        prepared.weight_cache().misses(),
+        0,
+        "a fill probed the memo"
+    );
+}
+
+/// The selector as it was stored before cells became `u32` indices: every
+/// occupied key as a `Vec<i64>` in odometer order, and an alias table over
+/// their `min(raw, 1)` weights.
+fn reference_layout(generator: &mut ProjectionGenerator) -> (Vec<Vec<i64>>, Vec<f64>) {
+    let range = generator.cell_range().expect("a proper projection").clone();
+    let grid = generator.grid().clone();
+    let mut all = Vec::new();
+    range.for_each_key(|k| all.push(k.to_vec()));
+    let mut keys = Vec::new();
+    let mut weights = Vec::new();
+    for key in all {
+        let center: Vec<f64> = key.iter().map(|&k| grid.coord_at(k)).collect();
+        let w = generator.cell_mass(&center).min(1.0);
+        if w > 0.0 {
+            keys.push(key);
+            weights.push(w);
+        }
+    }
+    (keys, weights)
+}
+
+#[test]
+fn compact_cells_draw_the_keys_of_the_vec_layout() {
+    let unit_box = GeneralizedTuple::from_box_f64(&[-0.5, 0.25, 0.0], &[0.75, 1.0, 0.5]);
+    // The box runs on a coarser grid (γ = 0.2) to stay within the default
+    // enumeration budget.
+    for (label, tuple, keep, gamma) in [
+        ("figure-1 triangle", figure1_triangle(), vec![0], 0.05),
+        ("3-D box", unit_box, vec![0, 1], 0.2),
+    ] {
+        let proj = ProjectionParams::new(GeneratorParams {
+            gamma,
+            ..base_params()
+        })
+        .with_cell_selection(CellSelection::Stratified);
+        let build = || {
+            let mut rng = StdRng::seed_from_u64(4242);
+            ProjectionGenerator::new_with(&tuple, &keep, proj, &mut rng).unwrap()
+        };
+        let (keys, weights) = reference_layout(&mut build());
+        let table = cdb_sampler::AliasTable::new(&weights).expect("occupied cells");
+
+        let mut generator = build();
+        let cells = generator.stratified_cells().expect("occupied cells");
+        assert_eq!(cells.keys(), keys, "{label}: occupied cells differ");
+        let bits = |w: &[f64]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(cells.weights()), bits(&weights), "{label}: weights");
+        let (mut old_rng, mut new_rng) = (StdRng::seed_from_u64(77), StdRng::seed_from_u64(77));
+        let mut key = Vec::new();
+        for draw in 0..2000 {
+            cells.sample_key_into(&mut new_rng, &mut key);
+            assert_eq!(
+                key,
+                keys[table.sample(&mut old_rng)],
+                "{label}: draw {draw} differs"
+            );
+        }
+    }
 }

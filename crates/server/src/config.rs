@@ -51,7 +51,8 @@ pub struct ServerConfig {
     pub bind: String,
     /// Worker threads (`0` = one per core).
     pub workers: usize,
-    /// Prepared-relation store capacity for a server-owned database.
+    /// Capacity of the prepared-relation store, and of the reconstruction
+    /// piece store beside it, for a server-owned database.
     pub store_capacity: Option<usize>,
     /// Maximum accepted request-body size in bytes.
     pub max_body_bytes: usize,

@@ -739,7 +739,8 @@ fn unified_query_matches_legacy_entry_points_bitwise() {
     let mut stream = seq.item_stream(5).rng();
     let mut sequential = raw.clone();
     let want_many: Vec<_> = (0..12).map(|_| sequential.sample(&mut stream)).collect();
-    let want_relation = PositiveQueryEstimator::new(params(), params().eps, params().delta)
+    let estimator = PositiveQueryEstimator::new(params(), params().eps, params().delta);
+    let want_relation = estimator
         .estimate(
             disabled.database(),
             &conjunction,
@@ -747,6 +748,19 @@ fn unified_query_matches_legacy_entry_points_bitwise() {
             &mut seq.item_stream(0).rng(),
         )
         .unwrap();
+    // An ∃ query samples each of A's two boxes through a prepared
+    // projection piece (the conjunction above is quantifier-free and builds
+    // none).
+    let projection = parse_formula("exists x1. A(x0, x1)", 2).unwrap();
+    let want_projection = estimator
+        .estimate(
+            disabled.database(),
+            &projection,
+            1,
+            &mut seq.item_stream(0).rng(),
+        )
+        .unwrap();
+    assert_eq!(want_projection.tuples().len(), 2);
 
     // Store states: disabled (always rebuilds), default (cold → warm), and
     // capacity-1 (evicting between rounds).
@@ -821,6 +835,26 @@ fn unified_query_matches_legacy_entry_points_bitwise() {
                     format!("{want_relation:?}"),
                     "reconstruction drifted"
                 );
+            }
+
+            // The ∃ reconstruction twice: under the default store the first
+            // run prepares both pieces and the second attaches them; under
+            // capacity 1 each piece evicts the other.
+            let spec = QuerySpec::reconstruct("A", projection.clone(), 1).with_seed_sequence(seq);
+            for run in 0..2 {
+                let before = db.store_stats();
+                let outcome = db.query(&spec).unwrap();
+                assert_eq!(
+                    format!("{:?}", outcome.relation().unwrap()),
+                    format!("{want_projection:?}"),
+                    "∃ reconstruction drifted (capacity {capacity:?}, {threads} threads, run {run})"
+                );
+                let after = db.store_stats();
+                if capacity.is_none() {
+                    let (hits, misses) = if run == 0 { (0, 2) } else { (2, 0) };
+                    assert_eq!(after.hits - before.hits, hits, "run {run}");
+                    assert_eq!(after.misses - before.misses, misses, "run {run}");
+                }
             }
         }
     }

@@ -1,7 +1,7 @@
 //! Concurrency and invisibility harness for the prepared-relation store.
 //!
 //! The store caches fully prepared generator bodies keyed by canonical
-//! formula. These tests race mixed hit/miss/evict traffic over overlapping
+//! formula plus a digest of the exact content. These tests race mixed hit/miss/evict traffic over overlapping
 //! relations from many threads and assert the headline contract: every
 //! output is **bitwise identical** to a single-threaded run against a
 //! *disabled* store (capacity 0, every query prepares from scratch), and
@@ -13,7 +13,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use cdb_constraint::canonical::CanonicalKey;
-use cdb_constraint::GeneralizedRelation;
+use cdb_constraint::{Atom, GeneralizedRelation, GeneralizedTuple};
 use cdb_core::{QuerySpec, SpatialDatabase};
 use cdb_sampler::{GeneratorParams, SeedSequence};
 use cdb_workloads::polytopes::closed_form_suite;
@@ -153,6 +153,58 @@ fn shared_content_under_different_names_hits_the_store() {
     assert_eq!(stats_after_b.hits, stats_after_a.hits + 1);
     // … and identical content + identical seeds give identical output.
     assert_eq!(a, b);
+}
+
+#[test]
+fn equivalent_spellings_never_attach_each_others_bodies() {
+    // The triangle 0 <= y <= x <= 1 written twice: B lists A's atoms in
+    // reverse order, scaled by 2. One canonical key — but each body is
+    // built from its own atoms, so B must answer the same whether A
+    // warmed the store first or not.
+    let triangle =
+        |atoms: Vec<Atom>| GeneralizedRelation::from_tuple(GeneralizedTuple::new(2, atoms));
+    let a = triangle(vec![
+        Atom::le_from_ints(&[-1, 0], 0),
+        Atom::le_from_ints(&[1, 0], -1),
+        Atom::le_from_ints(&[0, -1], 0),
+        Atom::le_from_ints(&[-1, 1], 0),
+    ]);
+    let b = triangle(vec![
+        Atom::le_from_ints(&[-2, 2], 0),
+        Atom::le_from_ints(&[0, -2], 0),
+        Atom::le_from_ints(&[2, 0], -2),
+        Atom::le_from_ints(&[-2, 0], 0),
+    ]);
+    assert_eq!(CanonicalKey::of_relation(&a), CanonicalKey::of_relation(&b));
+    let fresh = || {
+        let mut db = SpatialDatabase::with_params(GeneratorParams::fast());
+        db.insert("A", a.clone());
+        db.insert("B", b.clone());
+        db
+    };
+    let answer_b = |db: &SpatialDatabase| {
+        let points = db
+            .query(&QuerySpec::sample("B", 8).with_seed(9).partial())
+            .unwrap();
+        let volume = db.query(&QuerySpec::volume("B", 1).with_seed(9)).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        let points: Vec<Option<Vec<u64>>> = points
+            .points()
+            .iter()
+            .map(|p| p.as_deref().map(bits))
+            .collect();
+        (points, volume.volume().map(f64::to_bits))
+    };
+    let cold = answer_b(&fresh());
+    let warmed = fresh();
+    warmed
+        .query(&QuerySpec::sample("A", 8).with_seed(9).partial())
+        .unwrap();
+    warmed
+        .query(&QuerySpec::volume("A", 1).with_seed(9))
+        .unwrap();
+    assert_eq!(answer_b(&warmed), cold, "A's body answered a query on B");
+    assert_eq!(answer_b(&fresh().with_store_capacity(0)), cold);
 }
 
 #[test]

@@ -262,6 +262,37 @@ fn seeded_responses_are_byte_reproducible() {
     assert_ne!(e1.body, e2.body, "entropy seeds collided");
 }
 
+/// A reconstruction prepares its pieces into the database's store: a repeat
+/// of a seeded request answers the same bytes and attaches the prepared
+/// piece, which `/v1/stats` counts as a store hit.
+#[test]
+fn a_repeated_reconstruction_attaches_its_prepared_piece() {
+    let server = start_server();
+    let mut c = client(&server);
+    let payload = body(r#"{"query":"exists x1. R(x0, x1)","arity":2,"output_arity":1,"seed":23}"#);
+    let store = |c: &mut Client| {
+        let (status, stats) = c.request_json("GET", "/v1/stats", None).unwrap();
+        assert_eq!(status, 200);
+        let store = stats.get("store").unwrap();
+        let count = |k: &str| store.get(k).unwrap().as_u64().unwrap();
+        (count("hits"), count("misses"))
+    };
+    let before = store(&mut c);
+    let first = c
+        .request("POST", "/v1/reconstruct", Some(&payload))
+        .unwrap();
+    let cold = store(&mut c);
+    let second = c
+        .request("POST", "/v1/reconstruct", Some(&payload))
+        .unwrap();
+    let warm = store(&mut c);
+    assert_eq!(first.status, 200, "{}", first.body);
+    assert_eq!(second.body, first.body, "the warm answer drifted");
+    assert_eq!(cold.1 - before.1, 1, "the first request prepares R's piece");
+    assert_eq!(warm.0 - cold.0, 1, "the repeat attaches the prepared piece");
+    assert_eq!(warm.1, cold.1, "the repeat prepared again");
+}
+
 /// The full error→status table, exactly as documented in `error.rs` and
 /// ARCHITECTURE.md.
 #[test]
