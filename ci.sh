@@ -225,6 +225,24 @@ for seed in 1 2; do
 done
 stage_end
 
+stage_begin warm
+echo "==> warm-path smoke (perfbench warm_inproc + http_warm: attach, inline batches, compiled j(x))"
+# One second of each warm workload through the whole engine. warm_inproc
+# checks every answer against its closed form; http_warm also replays every
+# answer in process and requires it bit for bit, so a change to attach,
+# batch scheduling or the j(x) test that moved a single result bit fails
+# here.
+for workload in warm_inproc http_warm; do
+  WARM_LINE=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)
+  echo "$workload: $WARM_LINE"
+  case "$WARM_LINE" in
+    *'"correct": true'*) ;;
+    *) echo "$workload smoke: an answer was wrong or not reproduced bit for bit" >&2; exit 1 ;;
+  esac
+done
+stage_end
+
 if [ "$QUICK" != "1" ]; then
   stage_begin statistical
   echo "==> statistical acceptance suite (chi-square uniformity + (eps, delta) volume gates)"

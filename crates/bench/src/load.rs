@@ -33,7 +33,7 @@ use rand::Rng;
 
 use cdb_constraint::parse_formula;
 use cdb_core::{QuerySpec, SpatialDatabase, SpatialDbError};
-use cdb_sampler::batch::fan_out_contained_timed;
+use cdb_sampler::batch::{auto_threads, fan_out_contained_timed};
 use cdb_sampler::{BudgetTrip, QueryBudget, SeedSequence, WorkerPanic};
 use cdb_workloads::sessions::SessionMix;
 
@@ -389,6 +389,13 @@ fn pace(schedule: &Schedule, i: usize, epoch: Instant) {
 pub fn run_over(transport: &Transport<'_>, spec: &LoadSpec, schedule: &Schedule) -> RunReport {
     let n = schedule.requests.len();
     let seq = SeedSequence::new(spec.seed);
+    // `threads = 0` means one client per core here. The fan-out's own `0`
+    // would run a short schedule inline on one client, serializing the
+    // open-loop load, so the count is resolved before the call.
+    let threads = match spec.threads {
+        0 => auto_threads(),
+        t => t,
+    };
     let epoch = Instant::now();
     let fan_out = match transport {
         Transport::InProcess(db) => {
@@ -407,7 +414,7 @@ pub fn run_over(transport: &Transport<'_>, spec: &LoadSpec, schedule: &Schedule)
             }
             fan_out_contained_timed(
                 n,
-                spec.threads,
+                threads,
                 epoch,
                 || (),
                 |_, i| {
@@ -452,7 +459,7 @@ pub fn run_over(transport: &Transport<'_>, spec: &LoadSpec, schedule: &Schedule)
             let addr = *addr;
             fan_out_contained_timed(
                 n,
-                spec.threads,
+                threads,
                 epoch,
                 move || cdb_server::client::Client::new(addr),
                 |client, i| {

@@ -19,7 +19,8 @@
 //!
 //! Exact rational arithmetic (`cdb-num`) is used for every symbolic
 //! manipulation; conversion to floating point happens only at the boundary to
-//! the geometric/sampling layer (`to_hpolytope`).
+//! the geometric/sampling layer (`to_hpolytope`, and [`CompiledRelation`]
+//! for the samplers' per-draw membership tests).
 //!
 //! # Example
 //!
@@ -47,6 +48,7 @@
 
 mod atom;
 pub mod canonical;
+mod compiled;
 mod database;
 mod formula;
 mod parser;
@@ -58,6 +60,7 @@ mod tuple;
 
 pub use atom::{Atom, CompOp};
 pub use canonical::{canonicalize, content_digest, CanonicalKey};
+pub use compiled::CompiledRelation;
 pub use database::{Database, Schema};
 pub use formula::Formula;
 pub use parser::{parse_formula, ParseError};

@@ -50,7 +50,7 @@ pub use query::{FailureMode, QueryKind, QueryOptions, QueryOutcome, QuerySpec, Q
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::RwLock;
+use std::sync::{Arc, RwLock};
 
 use cdb_constraint::canonical::CanonicalKey;
 use cdb_constraint::{content_digest, ConstraintError, Database, Formula, GeneralizedRelation};
@@ -200,6 +200,15 @@ struct RelationKey {
     content: u64,
 }
 
+/// A name's memoized store key, shared by `Arc` with the store entry (a
+/// store hit compares the two by pointer first), and the seed that funds
+/// the key's preparation.
+#[derive(Clone, Debug)]
+struct MemoKey {
+    key: Arc<RelationKey>,
+    prep: SeedSequence,
+}
+
 /// A spatial constraint database with approximate evaluation capabilities.
 ///
 /// # The prepared-relation store
@@ -229,12 +238,13 @@ pub struct SpatialDatabase {
     database: Database,
     params: GeneratorParams,
     /// Prepared generator bodies, keyed by canonical form and content.
-    store: PreparedStore<RelationKey, UnionGenerator>,
+    store: PreparedStore<Arc<RelationKey>, UnionGenerator>,
     /// Prepared reconstruction pieces, at the same capacity as `store`.
     pieces: PieceStore,
-    /// Memo of name → store key (keys are content-derived, so this is
-    /// pure caching; invalidated when a relation is replaced).
-    keys: RwLock<HashMap<String, RelationKey>>,
+    /// Memo of name → store key and preparation seed (keys are
+    /// content-derived, so this is pure caching; invalidated when a
+    /// relation is replaced).
+    keys: RwLock<HashMap<String, MemoKey>>,
     /// Worker panics contained by seeded batch queries; merged into
     /// [`SpatialDatabase::store_stats`] as `panics_recovered`.
     contained_panics: AtomicU64,
@@ -341,20 +351,26 @@ impl SpatialDatabase {
         self.store.capacity()
     }
 
-    /// The store key of the named relation (memoized per name).
-    fn relation_key(&self, name: &str, relation: &GeneralizedRelation) -> RelationKey {
-        if let Some(key) = self.keys.read().expect("canonical-key memo lock").get(name) {
-            return key.clone();
+    /// The store key of the named relation and its preparation seed
+    /// (memoized per name).
+    fn relation_key(&self, name: &str, relation: &GeneralizedRelation) -> MemoKey {
+        if let Some(memo) = self.keys.read().expect("canonical-key memo lock").get(name) {
+            return memo.clone();
         }
-        let key = RelationKey {
-            canonical: CanonicalKey::of_relation(relation),
-            content: content_digest(relation),
+        let canonical = CanonicalKey::of_relation(relation);
+        let prep = SeedSequence::new(mix(canonical.hash64() ^ self.params.fingerprint()));
+        let memo = MemoKey {
+            key: Arc::new(RelationKey {
+                canonical,
+                content: content_digest(relation),
+            }),
+            prep,
         };
         self.keys
             .write()
             .expect("canonical-key memo lock")
-            .insert(name.to_string(), key.clone());
-        key
+            .insert(name.to_string(), memo.clone());
+        memo
     }
 
     /// The stored relation of that name, or [`SpatialDbError::UnknownRelation`].
@@ -364,23 +380,17 @@ impl SpatialDatabase {
             .ok_or_else(|| SpatialDbError::UnknownRelation(name.to_string()))
     }
 
-    /// The seed sequence that funds the preparation of the body under `key`.
-    fn preparation_seed_of(&self, key: &RelationKey) -> SeedSequence {
-        SeedSequence::new(mix(key.canonical.hash64() ^ self.params.fingerprint()))
-    }
-
     /// The seed sequence that funds the named relation's preparation. It is
     /// derived from the relation's canonical key and the parameter
     /// fingerprint — never from a caller's stream — so a raw
     /// [`UnionGenerator`] prepared from it is bitwise the body every query
     /// on this relation attaches.
     pub fn preparation_seed(&self, name: &str) -> Result<SeedSequence, SpatialDbError> {
-        let key = self.relation_key(name, self.stored(name)?);
-        Ok(self.preparation_seed_of(&key))
+        Ok(self.relation_key(name, self.stored(name)?).prep)
     }
 
     /// Builds (or fetches) the prepared generator body for the named
-    /// relation and attaches a private copy for this query.
+    /// relation and attaches it for this query.
     ///
     /// The body is a pure function of (relation content, parameters) — see
     /// [`SpatialDatabase::preparation_seed`]. That is the whole invisibility
@@ -389,16 +399,15 @@ impl SpatialDatabase {
     /// caller's randomness funds only the sampling itself.
     fn prepared_generator(&self, name: &str) -> Result<UnionGenerator, SpatialDbError> {
         let relation = self.stored(name)?;
-        let key = self.relation_key(name, relation);
-        let prep = self.preparation_seed_of(&key);
+        let MemoKey { key, prep } = self.relation_key(name, relation);
         let params = self.params;
         let body = self.store.get_or_try_prepare(&key, || {
             let mut generator = UnionGenerator::new(relation, params)?;
             generator.prepare(&prep);
             Ok(generator)
         });
-        // Copy-on-attach: the stored body stays immutable; this query gets
-        // its own mutable scratch.
+        // Attach: the clone shares the stored body by `Arc` and brings its
+        // own empty walk scratch, so the stored body stays immutable.
         Ok((*body.map_err(|source| SpatialDbError::NotObservable {
             relation: name.to_string(),
             source,

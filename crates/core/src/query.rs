@@ -93,8 +93,12 @@ pub struct QueryOptions {
     /// A [`QueryKind::Reconstruct`] query is one item: the draws of all its
     /// pieces add up against one budget.
     pub budget: QueryBudget,
-    /// Worker threads for seeded batch execution (`0` = one per core).
-    /// Thread count never changes results, only wall-clock time.
+    /// Worker threads for seeded batch execution. `0` (the default) runs
+    /// the first item on the calling thread and spreads the rest over one
+    /// worker per core only when their estimated work pays for starting
+    /// threads (see [`cdb_sampler::batch::fan_out_contained`]), so a short
+    /// query starts none. Thread count never changes results, only
+    /// wall-clock time.
     pub threads: usize,
     /// Root seed sequence for [`SpatialDatabase::query`]: item `i` draws
     /// from its [`SeedSequence::item_stream`]`(i)`. `None` restricts the
@@ -157,8 +161,9 @@ impl QuerySpec {
         self
     }
 
-    /// Sets the worker-thread count for seeded batch execution (`0` = one
-    /// per core; results never depend on it).
+    /// Sets the worker-thread count for seeded batch execution (`0` =
+    /// inline until the work pays for threads, then one per core; results
+    /// never depend on it).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.options.threads = threads;
         self

@@ -4,7 +4,7 @@
 
 use rand::Rng;
 
-use cdb_constraint::GeneralizedRelation;
+use cdb_constraint::{CompiledRelation, GeneralizedRelation};
 
 use crate::budget::{BudgetMeter, BudgetTrip, QueryBudget, COMPOSE_ATTEMPT_FACTOR};
 use crate::compose::union::UnionGenerator;
@@ -15,7 +15,8 @@ use crate::params::{GeneratorParams, RelationGenerator, RelationVolumeEstimator,
 #[derive(Clone, Debug)]
 pub struct DifferenceGenerator {
     minuend: UnionGenerator,
-    subtrahend: GeneralizedRelation,
+    /// `S_2`, compiled for the rejection step's membership test.
+    subtrahend: CompiledRelation,
     params: GeneratorParams,
     attempts: u64,
     accepted: u64,
@@ -39,7 +40,7 @@ impl DifferenceGenerator {
         let minuend = UnionGenerator::new(s1, params)?;
         Ok(DifferenceGenerator {
             minuend,
-            subtrahend: s2.clone(),
+            subtrahend: CompiledRelation::new(s2),
             params,
             attempts: 0,
             accepted: 0,
@@ -78,7 +79,7 @@ impl RelationGenerator for DifferenceGenerator {
             }
             let x = self.minuend.sample(rng)?;
             self.attempts += 1;
-            if !self.subtrahend.contains_f64(&x) {
+            if !self.subtrahend.contains(&x) {
                 self.accepted += 1;
                 return Some(x);
             }
@@ -118,7 +119,7 @@ impl RelationVolumeEstimator for DifferenceGenerator {
             if let Some(x) = self.minuend.sample(rng) {
                 produced += 1;
                 self.attempts += 1;
-                if !self.subtrahend.contains_f64(&x) {
+                if !self.subtrahend.contains(&x) {
                     hits += 1;
                     self.accepted += 1;
                 }

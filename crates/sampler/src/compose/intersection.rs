@@ -10,7 +10,7 @@
 
 use rand::Rng;
 
-use cdb_constraint::GeneralizedRelation;
+use cdb_constraint::{CompiledRelation, GeneralizedRelation};
 
 use crate::budget::{BudgetMeter, BudgetTrip, QueryBudget, COMPOSE_ATTEMPT_FACTOR};
 use crate::compose::union::UnionGenerator;
@@ -20,7 +20,8 @@ use crate::params::{GeneratorParams, RelationGenerator, RelationVolumeEstimator,
 /// Generator and volume estimator for `S_1 ∩ … ∩ S_m`.
 #[derive(Clone, Debug)]
 pub struct IntersectionGenerator {
-    operands: Vec<GeneralizedRelation>,
+    /// Every operand compiled for the rejection step's membership test.
+    operands: Vec<CompiledRelation>,
     generators: Vec<UnionGenerator>,
     params: GeneratorParams,
     /// Index of the smallest operand (chosen after volume estimation).
@@ -55,7 +56,7 @@ impl IntersectionGenerator {
             .map(|r| UnionGenerator::new(r, params))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(IntersectionGenerator {
-            operands: operands.to_vec(),
+            operands: operands.iter().map(CompiledRelation::new).collect(),
             generators,
             params,
             smallest: None,
@@ -115,7 +116,7 @@ impl IntersectionGenerator {
         self.operands
             .iter()
             .enumerate()
-            .all(|(i, r)| i == skip || r.contains_f64(x))
+            .all(|(i, r)| i == skip || r.contains(x))
     }
 }
 

@@ -8,9 +8,11 @@
 //! it (`j(x)` in the paper), which makes every point of the overlapping union
 //! count exactly once.
 
+use std::sync::Arc;
+
 use rand::Rng;
 
-use cdb_constraint::GeneralizedRelation;
+use cdb_constraint::{CompiledRelation, GeneralizedRelation};
 
 use crate::budget::{BudgetTrip, QueryBudget};
 use crate::compose::ObservabilityError;
@@ -19,23 +21,71 @@ use crate::oracle::ConvexBody;
 use crate::params::{GeneratorParams, RelationGenerator, RelationVolumeEstimator, SeedSequence};
 use crate::walk::WalkScratch;
 
-/// The union generator of Theorem 4.1 / Corollary 4.2 and the union volume
-/// estimator of Theorem 4.2.
+/// The prepared body of a union generator: everything a draw reads and no
+/// per-query state. Attached copies share it through an [`Arc`].
 #[derive(Clone, Debug)]
-pub struct UnionGenerator {
+struct PreparedUnion {
     relation: GeneralizedRelation,
+    /// `relation` compiled for the `j(x)` test.
+    compiled: CompiledRelation,
     bodies: Vec<ConvexBody>,
     samplers: Vec<DfkSampler>,
     volumes: Vec<f64>,
     params: GeneratorParams,
     initialized: bool,
-    /// Per-generator walk workspace, reused across every sample and volume
-    /// estimate (each batch worker clones the generator and with it gets its
-    /// own scratch).
+}
+
+impl PreparedUnion {
+    /// Chooses a component index with probability proportional to `μ̂_i`
+    /// (step (3) of Algorithm 1).
+    fn choose_component<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
+        let total: f64 = self.volumes.iter().sum();
+        let mut target = rng.gen_range(0.0..total.max(f64::MIN_POSITIVE));
+        for (i, v) in self.volumes.iter().enumerate() {
+            if target < *v {
+                return i;
+            }
+            target -= v;
+        }
+        self.volumes.len() - 1
+    }
+
+    /// Index of the first tuple containing `x` — the paper's `j(x)`.
+    fn first_index(&self, x: &[f64]) -> Option<usize> {
+        self.compiled.first_containing(x, 1e-9)
+    }
+}
+
+/// The union generator of Theorem 4.1 / Corollary 4.2 and the union volume
+/// estimator of Theorem 4.2.
+///
+/// **Attach.** The generator is a shared prepared body plus a per-query walk
+/// scratch and budget. [`Clone`] is the attach: it bumps the body's reference
+/// count and starts an empty scratch (every walk rebinds the scratch from the
+/// body's center, so no draw depends on what a scratch held before), and
+/// allocates nothing in proportion to the body. Lazy initialization and the
+/// budget-trip rollback write through [`Arc::make_mut`], so they copy the
+/// body only when another attached copy still shares it; a draw on a
+/// prepared body never writes to it.
+#[derive(Debug)]
+pub struct UnionGenerator {
+    body: Arc<PreparedUnion>,
+    /// Per-query walk workspace, reused across every sample and volume
+    /// estimate of this copy.
     scratch: WalkScratch,
     /// Work limits installed by [`RelationGenerator::set_budget`]; the
     /// scratch meter is re-armed from this at the head of every query call.
     budget: QueryBudget,
+}
+
+impl Clone for UnionGenerator {
+    fn clone(&self) -> Self {
+        UnionGenerator {
+            body: Arc::clone(&self.body),
+            scratch: WalkScratch::new(),
+            budget: self.budget.clone(),
+        }
+    }
 }
 
 impl UnionGenerator {
@@ -80,12 +130,15 @@ impl UnionGenerator {
         }
         let pruned = GeneralizedRelation::from_tuples(relation.arity(), kept);
         Ok(UnionGenerator {
-            relation: pruned,
-            bodies,
-            samplers: Vec::new(),
-            volumes: Vec::new(),
-            params,
-            initialized: false,
+            body: Arc::new(PreparedUnion {
+                compiled: CompiledRelation::new(&pruned),
+                relation: pruned,
+                bodies,
+                samplers: Vec::new(),
+                volumes: Vec::new(),
+                params,
+                initialized: false,
+            }),
             scratch: WalkScratch::new(),
             budget: QueryBudget::unlimited(),
         })
@@ -93,33 +146,41 @@ impl UnionGenerator {
 
     /// The relation being sampled (after pruning degenerate tuples).
     pub fn relation(&self) -> &GeneralizedRelation {
-        &self.relation
+        &self.body.relation
     }
 
     /// Per-component volume estimates `μ̂_i` (available after the first call
     /// to [`RelationGenerator::sample`] or
     /// [`RelationVolumeEstimator::estimate_volume`]).
     pub fn component_volumes(&self) -> &[f64] {
-        &self.volumes
+        &self.body.volumes
+    }
+
+    /// Whether two generators share one prepared body (attached copies of
+    /// the same prepared generator do, until one of them re-initializes).
+    pub fn shares_body_with(&self, other: &UnionGenerator) -> bool {
+        Arc::ptr_eq(&self.body, &other.body)
     }
 
     /// Lazily builds the per-component samplers and volume estimates
     /// (step (1) of Algorithm 1).
     fn ensure_initialized<R: Rng + ?Sized>(&mut self, rng: &mut R) {
-        if self.initialized {
+        if self.body.initialized {
             return;
         }
-        self.samplers = self
+        let body = Arc::make_mut(&mut self.body);
+        body.samplers = body
             .bodies
             .iter()
-            .map(|b| DfkSampler::new(b.clone(), self.params, rng))
+            .map(|b| DfkSampler::new(b.clone(), body.params, rng))
             .collect();
-        self.volumes = self
+        let scratch = &mut self.scratch;
+        body.volumes = body
             .samplers
             .iter()
-            .map(|s| s.estimate_volume_with(rng, &mut self.scratch))
+            .map(|s| s.estimate_volume_with(rng, scratch))
             .collect();
-        self.initialized = true;
+        body.initialized = true;
     }
 
     /// If the armed budget tripped during lazy initialization, the pilot
@@ -128,9 +189,10 @@ impl UnionGenerator {
     /// against corrupt component weights. Returns `true` when it rolled back.
     fn rollback_if_init_tripped(&mut self) -> bool {
         if self.scratch.budget_trip().is_some() {
-            self.samplers.clear();
-            self.volumes.clear();
-            self.initialized = false;
+            let body = Arc::make_mut(&mut self.body);
+            body.samplers.clear();
+            body.volumes.clear();
+            body.initialized = false;
             true
         } else {
             false
@@ -142,30 +204,11 @@ impl UnionGenerator {
     pub fn budget_meter(&self) -> &crate::budget::BudgetMeter {
         self.scratch.budget_meter()
     }
-
-    /// Chooses a component index with probability proportional to `μ̂_i`
-    /// (step (3) of Algorithm 1).
-    fn choose_component<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let total: f64 = self.volumes.iter().sum();
-        let mut target = rng.gen_range(0.0..total.max(f64::MIN_POSITIVE));
-        for (i, v) in self.volumes.iter().enumerate() {
-            if target < *v {
-                return i;
-            }
-            target -= v;
-        }
-        self.volumes.len() - 1
-    }
-
-    /// Index of the first tuple containing `x` — the paper's `j(x)`.
-    fn first_index(&self, x: &[f64]) -> Option<usize> {
-        self.relation.first_containing_tuple(x, 1e-9)
-    }
 }
 
 impl RelationGenerator for UnionGenerator {
     fn dim(&self) -> usize {
-        self.relation.arity()
+        self.body.relation.arity()
     }
 
     fn sample<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Option<Vec<f64>> {
@@ -174,13 +217,14 @@ impl RelationGenerator for UnionGenerator {
         if self.rollback_if_init_tripped() {
             return None;
         }
+        let body = &*self.body;
         // Repeat k = 4 ln(1/δ) times (the proof of Theorem 4.1).
-        for _ in 0..self.params.retry_rounds() {
+        for _ in 0..body.params.retry_rounds() {
             if !self.scratch.budget_meter_mut().charge_attempt() {
                 return None;
             }
-            let j = self.choose_component(rng);
-            let x = self.samplers[j].sample_with(rng, &mut self.scratch);
+            let j = body.choose_component(rng);
+            let x = body.samplers[j].sample_with(rng, &mut self.scratch);
             if self.scratch.budget_trip().is_some() {
                 // The walk was truncated mid-chain; x is not almost-uniform.
                 return None;
@@ -188,7 +232,7 @@ impl RelationGenerator for UnionGenerator {
             // Accept only when j is the first component containing x, so the
             // output distribution is uniform on the union rather than on the
             // disjoint sum of the components.
-            if self.first_index(&x) == Some(j) {
+            if body.first_index(&x) == Some(j) {
                 return Some(x);
             }
         }
@@ -223,23 +267,24 @@ impl RelationVolumeEstimator for UnionGenerator {
         if self.rollback_if_init_tripped() {
             return None;
         }
-        let total: f64 = self.volumes.iter().sum();
+        let body = &*self.body;
+        let total: f64 = body.volumes.iter().sum();
         if total <= 0.0 {
             return Some(0.0);
         }
         // Karp–Luby: vol(∪ S_i) = (Σ μ_i) · Pr[j(x) = j when j ~ μ, x ~ S_j].
-        let trials = self.params.samples_per_phase();
+        let trials = body.params.samples_per_phase();
         let mut accepted = 0usize;
         for _ in 0..trials {
             if !self.scratch.budget_meter_mut().charge_attempt() {
                 return None;
             }
-            let j = self.choose_component(rng);
-            let x = self.samplers[j].sample_with(rng, &mut self.scratch);
+            let j = body.choose_component(rng);
+            let x = body.samplers[j].sample_with(rng, &mut self.scratch);
             if self.scratch.budget_trip().is_some() {
                 return None;
             }
-            if self.first_index(&x) == Some(j) {
+            if body.first_index(&x) == Some(j) {
                 accepted += 1;
             }
         }

@@ -182,8 +182,9 @@ impl DfkSampler {
     }
 
     /// Draws `n` points, chain `i` funded by child stream `i + 1` of `seq`
-    /// and the chains split across up to `threads` workers (`0` = one per
-    /// core). Bitwise identical output for any thread count.
+    /// and the chains split across up to `threads` workers (`0` = inline
+    /// until the work pays for threads, see [`batch::fan_out_contained`]).
+    /// Bitwise identical output for any thread count.
     pub fn sample_batch(&self, n: usize, seq: &SeedSequence, threads: usize) -> Vec<Vec<f64>> {
         batch::fan_out(n, threads, WalkScratch::new, |scratch, i| {
             self.sample_with(&mut seq.item_stream(i).rng(), scratch)
@@ -272,7 +273,8 @@ impl DfkSampler {
 
     /// Runs `repeats` independent telescoping estimates, repeat `i` funded by
     /// child stream `i + 1` of `seq`, split across up to `threads` workers
-    /// (`0` = one per core). Bitwise identical output for any thread count.
+    /// (`0` = inline until the work pays for threads). Bitwise identical
+    /// output for any thread count.
     pub fn estimate_volume_batch(
         &self,
         repeats: usize,

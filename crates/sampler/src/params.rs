@@ -234,7 +234,8 @@ pub trait RelationGenerator {
 
     /// Draws `n` points, one per child stream of `seq` (item `i` uses
     /// [`SeedSequence::item_stream`]`(i)`), splitting the items across up to
-    /// `threads` worker threads (`0` means one per available core).
+    /// `threads` worker threads (`0` means inline until the work pays for
+    /// threads, see [`crate::batch::fan_out_contained`]).
     ///
     /// The generator is [prepared](RelationGenerator::prepare) first, then
     /// every worker samples from its own clone. Because every item's
@@ -282,8 +283,8 @@ pub trait RelationVolumeEstimator {
     }
 
     /// Runs `repeats` independent volume estimates, one per child stream of
-    /// `seq`, across up to `threads` worker threads (`0` means one per
-    /// available core). Same stream convention — setup from the setup
+    /// `seq`, across up to `threads` worker threads (`0` as in
+    /// [`RelationGenerator::sample_batch`]). Same stream convention — setup from the setup
     /// stream, repeat `i` from [`SeedSequence::item_stream`]`(i)` on a
     /// worker-local clone — and therefore the same thread-count-independence
     /// guarantee as [`RelationGenerator::sample_batch`].

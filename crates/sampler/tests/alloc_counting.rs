@@ -1,7 +1,10 @@
 //! Proof that the walk engine's polytope fast path is allocation-free: a
 //! counting `GlobalAlloc` shim wraps the system allocator and the test
 //! asserts that thousands of accepted hit-and-run steps perform **zero**
-//! heap allocations once the [`WalkScratch`] workspace is warmed up.
+//! heap allocations once the [`WalkScratch`] workspace is warmed up. A
+//! second test pins the per-query costs around a draw: attaching a prepared
+//! union generator and its compiled `j(x)` test allocate nothing that grows
+//! with the body.
 //!
 //! The shim is the one place in the workspace that needs `unsafe` (a
 //! `GlobalAlloc` impl cannot be written without it); the library crates all
@@ -11,9 +14,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use cdb_constraint::{CompiledRelation, GeneralizedRelation};
 use cdb_geometry::HPolytope;
 use cdb_sampler::walk::{ball_walk_step, hit_and_run_step, WalkScratch};
-use cdb_sampler::ConvexBody;
+use cdb_sampler::{ConvexBody, GeneratorParams, RelationGenerator, SeedSequence, UnionGenerator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -62,9 +66,8 @@ fn allocations_during<T>(f: impl FnOnce() -> T) -> (u64, T) {
     (after - before, out)
 }
 
-/// One test function on purpose (scenarios run sequentially): even with the
-/// per-thread counter, keeping a single `#[test]` makes the measured windows
-/// independent of libtest's scheduling.
+/// The walk scenarios share one test function and run sequentially; the
+/// counter is per thread, so the attach test below can run beside it.
 #[test]
 fn walk_steps_are_allocation_free() {
     hit_and_run_scenario();
@@ -141,4 +144,64 @@ fn telescoping_ball_intersection_scenario() {
         }
     });
     assert_eq!(allocs, 0, "ball-intersection walk allocated {allocs} times");
+}
+
+/// `m` disjoint unit squares in a row: an `m`-tuple union.
+fn row_of_squares(m: usize) -> GeneralizedRelation {
+    (1..m).fold(
+        GeneralizedRelation::from_box_f64(&[0.0, 0.0], &[1.0, 1.0]),
+        |rel, i| {
+            let x = 2.0 * i as f64;
+            rel.union(&GeneralizedRelation::from_box_f64(
+                &[x, 0.0],
+                &[x + 1.0, 1.0],
+            ))
+        },
+    )
+}
+
+#[test]
+fn attach_and_j_of_x_allocate_nothing_per_body() {
+    let seq = SeedSequence::new(5);
+    let attach_cost = |m: usize| {
+        let mut prepared = UnionGenerator::new(&row_of_squares(m), GeneratorParams::fast())
+            .expect("squares are observable");
+        prepared.prepare(&seq);
+        let (allocs, attached) = allocations_during(|| prepared.clone());
+        // Two attached copies share one body, and a draw on a prepared body
+        // never writes to it, so it stays shared.
+        let mut other = prepared.clone();
+        assert!(attached.shares_body_with(&other));
+        assert!(other.sample(&mut seq.item_stream(0).rng()).is_some());
+        assert!(attached.shares_body_with(&other));
+        assert!(attached.shares_body_with(&prepared));
+        allocs
+    };
+    let (small, large) = (attach_cost(2), attach_cost(16));
+    assert_eq!(
+        small, large,
+        "attach allocates per tuple: {small} vs {large}"
+    );
+    assert_eq!(small, 0, "attach allocated {small} times");
+
+    // An unprepared body is initialized on first use: the copy that does it
+    // gets its own body and leaves the other copy's untouched.
+    let fresh = UnionGenerator::new(&row_of_squares(2), GeneratorParams::fast()).unwrap();
+    let mut initialized = fresh.clone();
+    assert!(initialized.sample(&mut seq.item_stream(1).rng()).is_some());
+    assert!(!initialized.shares_body_with(&fresh));
+    assert!(fresh.component_volumes().is_empty());
+    assert_eq!(initialized.component_volumes().len(), 2);
+
+    // The compiled j(x) test evaluates precompiled rows in place.
+    let compiled = CompiledRelation::new(&row_of_squares(16));
+    let points: Vec<[f64; 2]> = (0..64).map(|i| [i as f64 * 0.5, 0.5]).collect();
+    let (allocs, hits) = allocations_during(|| {
+        points
+            .iter()
+            .filter(|p| compiled.first_containing(&p[..], 1e-9).is_some())
+            .count()
+    });
+    assert!(hits > 0);
+    assert_eq!(allocs, 0, "compiled j(x) allocated {allocs} times");
 }

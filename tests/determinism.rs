@@ -547,6 +547,49 @@ fn spatial_database_store_states_are_invisible_across_thread_counts() {
     }
 }
 
+/// Under auto threads (`0`) a seeded query runs its first item on the
+/// caller and spreads the rest only when they are worth a thread start. A
+/// two-item batch always stays inline; `sample(2048)` and `volume(4)` are
+/// far above the threshold and spread. Both must equal every explicit
+/// thread count bit for bit.
+#[test]
+fn inline_and_spread_batches_are_thread_count_invariant() {
+    use cdb_core::{QuerySpec, SpatialDatabase};
+    let mut db = SpatialDatabase::with_params(params());
+    db.insert(
+        "A",
+        GeneralizedRelation::from_box_f64(&[0.0, 0.0], &[1.0, 1.0])
+            .union(&GeneralizedRelation::from_box_f64(&[0.5, 0.5], &[2.0, 1.5])),
+    );
+    let seq = SeedSequence::new(0x1A11E);
+    let run = |spec: QuerySpec, threads: usize| {
+        let outcome = db
+            .query(&spec.with_seed_sequence(seq).with_threads(threads).partial())
+            .unwrap();
+        (outcome.points().to_vec(), outcome.volumes().to_vec())
+    };
+    for spec in [
+        QuerySpec::sample("A", 2),
+        QuerySpec::sample("A", 2048),
+        QuerySpec::volume("A", 1),
+        QuerySpec::volume("A", 4),
+    ] {
+        let label = format!("{:?}", spec.kind);
+        let baseline = run(spec.clone(), 1);
+        assert!(
+            baseline.0.iter().flatten().count() + baseline.1.iter().flatten().count() > 0,
+            "{label}: nothing completed"
+        );
+        for threads in [0usize, 2, 8] {
+            assert_eq!(
+                baseline,
+                run(spec.clone(), threads),
+                "{label} differs at {threads} threads"
+            );
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Query-budget axes: (no budget / huge budget / exactly-exhausting budget)
 // × thread count. The resilience layer's contract is that budget checks

@@ -116,6 +116,37 @@ fn injected_worker_panic_is_contained_and_typed() {
     assert_eq!(clean.completed, n);
 }
 
+/// Under auto threads a short batch runs inline on the calling thread, which
+/// keeps the same panic boundary as a worker: a panic at the first item
+/// (before anything is timed) or at a later one is contained, typed as
+/// [`SpatialDbError::WorkerPanicked`] and counted.
+#[test]
+fn auto_thread_worker_panics_are_contained() {
+    let seq = SeedSequence::new(0xA070);
+    let n = 16;
+    for item in [0usize, 5] {
+        let db = sample_db().with_fault_plan(FaultPlan::new().with_worker_panic_at(item));
+        let batch = db
+            .query(&seeded_sample("R", n, seq, 0))
+            .expect("the relation itself is fine");
+        match &batch.error {
+            Some(SpatialDbError::WorkerPanicked { payload, .. }) => assert!(
+                payload.contains(&format!("item {item}")),
+                "unexpected payload: {payload}"
+            ),
+            other => panic!("item {item}: expected WorkerPanicked, got {other:?}"),
+        }
+        assert!(batch.points()[item].is_none());
+        assert!(batch.points()[..item].iter().all(Option::is_some));
+        assert!(batch.completed < n);
+        if item == 0 {
+            // The panic ends the caller's inline run before any spread.
+            assert_eq!(batch.completed, 0);
+        }
+        assert_eq!(db.store_stats().panics_recovered, 1);
+    }
+}
+
 /// A forced draw failure (the oracle/LP-failure stand-in) maps to
 /// [`SpatialDbError::GenerationFailed`] with the relation name and phase —
 /// never to a panic or a budget error.
