@@ -7,14 +7,16 @@
 #                  uniformity and (eps, delta) volume tests in
 #                  tests/statistical.rs) for fast local iteration. The full
 #                  gates are mandatory in CI.
-#   --bench        additionally run the walk-throughput perf report, which
-#                  rewrites BENCH_walk.json (see the README performance
-#                  section).
+#   --bench        additionally run the perf report (walk throughput plus the
+#                  paper-claim rows E1-E12), which rewrites BENCH_walk.json
+#                  (see the README performance and experiments sections).
 #   --bench-quick  run ONLY the perf-report smoke and exit: a tiny time
 #                  budget per workload (CDB_BENCH_QUICK=1), writing to
-#                  target/BENCH_walk_quick.json. Numbers are meaningless; it
+#                  target/BENCH_walk_quick.json. Times are meaningless; it
 #                  proves every constraint-kernel dispatch path
-#                  (axis/sparse/dense/oracle) executes. The same smoke also
+#                  (axis/sparse/dense/oracle) and every paper-claim row
+#                  executes (claim qualities are seeded, so they are the
+#                  recorded ones even here). The same smoke also
 #                  runs on every default CI pass; --bench replaces it with
 #                  the real measurement.
 #   --bench-compare <baseline.json>
@@ -29,11 +31,13 @@
 #
 # Every default pass additionally validates the quick smoke report against
 # the committed BENCH_walk.json for row coverage only (every kernel row, all
-# three e7 rows — warm/cold rejection twins plus the stratified selector —
-# and the warm/cold prepared-store twins e_shared_subrelations{,_cold} must
-# still exist), so dispatch coverage can never silently shrink. A per-stage
-# wall-clock summary is printed at the end so slow-stage creep shows up in
-# CI logs.
+# three e7 walk rows — warm/cold rejection twins plus the stratified
+# selector — the warm/cold prepared-store twins e_shared_subrelations{,_cold}
+# and the fifty paper-claim rows e1_* ... e12_* must still exist), so neither
+# dispatch coverage nor an experiment can silently drop out; a smoke row with
+# a non-finite or non-positive time, or a non-finite quality, fails it too.
+# A per-stage wall-clock summary is printed at the end so slow-stage creep
+# shows up in CI logs.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -79,7 +83,7 @@ print_stage_summary() {
 # The perf smoke: tiny time budget, output kept out of the repo root so the
 # recorded BENCH_walk.json is never clobbered with throwaway numbers.
 bench_smoke() {
-  echo "==> walk perf smoke (tiny budget, target/BENCH_walk_quick.json)"
+  echo "==> perf smoke (tiny budget, target/BENCH_walk_quick.json)"
   CDB_BENCH_QUICK=1 CDB_BENCH_OUT=target/BENCH_walk_quick.json \
     cargo run --release -p cdb-bench --bin perf_report >/dev/null
 }
@@ -265,19 +269,20 @@ if [ -n "$BENCH_COMPARE" ]; then
   # live file would compare the fresh report with itself.
   mkdir -p target
   cp "$BENCH_COMPARE" target/bench_compare_baseline.json
-  echo "==> walk perf report (rewrites BENCH_walk.json)"
+  echo "==> perf report (rewrites BENCH_walk.json)"
   cargo run --release -p cdb-bench --bin perf_report
   echo "==> bench_diff against $BENCH_COMPARE (tolerance 15%)"
   bench_diff target/bench_compare_baseline.json BENCH_walk.json
   stage_end
 elif [ "$BENCH" = "1" ]; then
   stage_begin bench
-  echo "==> walk perf report (rewrites BENCH_walk.json)"
+  echo "==> perf report (rewrites BENCH_walk.json)"
   cargo run --release -p cdb-bench --bin perf_report
   stage_end
 else
-  # Every CI pass exercises all kernel-dispatch paths, cheaply, and proves
-  # the smoke report still covers every recorded workload row.
+  # Every CI pass exercises all kernel-dispatch paths and every paper-claim
+  # row, cheaply, and proves the smoke report still covers every recorded
+  # workload row.
   stage_begin smoke
   bench_smoke
   echo "==> bench_diff row coverage (target/BENCH_walk_quick.json vs BENCH_walk.json)"

@@ -5,7 +5,9 @@
 //! 15% — wide enough to absorb the ~10% machine drift ROADMAP documents
 //! between sessions, tight enough to catch real hot-path regressions).
 //! Both report schemas are accepted, in either position and mixed:
-//! `cdb-perf-report/v*` rows gate on `samples_per_sec` (lower is worse),
+//! `cdb-perf-report/v*` rows gate on `samples_per_sec` (walk rows) or
+//! `ops_per_sec` (paper-claim rows; their `quality` is never gated),
+//! both lower-is-worse,
 //! `cdb-load-report/v*` rows on `throughput_rps` (lower is worse) plus the
 //! `p50_ms`/`p95_ms`/`p99_ms` latency percentiles (higher is worse, with
 //! `LATENCY_SLACK_MS` of absolute slack so sub-10ms tail jitter cannot
@@ -16,21 +18,23 @@
 //! baseline row still exists in the candidate (and skips the numeric
 //! comparison entirely) — the mode `ci.sh` runs on every default pass
 //! against the quick smoke reports, whose numbers are meaningless but whose
-//! row sets prove every dispatch path still executes.
+//! row sets prove every dispatch path still executes. In both modes a
+//! candidate row with a non-finite or non-positive time, or a non-finite
+//! quality, fails the gate (`cdb_bench::report::check_row`).
 //!
 //! ```text
 //! bench_diff <baseline.json> <candidate.json> [--tolerance 0.15] [--coverage-only]
 //! ```
 //!
-//! Exit codes: `0` pass, `1` regression or lost coverage, `2` usage or
-//! parse error.
+//! Exit codes: `0` pass, `1` regression, lost coverage or a garbage row,
+//! `2` usage or parse error.
 //!
 //! Parsing and the metric-direction table live in `cdb_bench::report`, where
 //! they are unit-tested and shared with `tests/load.rs`.
 
 use std::process::ExitCode;
 
-use cdb_bench::report::{compare_row, find, load};
+use cdb_bench::report::{check_row, compare_row, find, load};
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -68,6 +72,20 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+
+    // A candidate row no measurement can have produced (a NaN, infinite or
+    // non-positive time, or a non-finite quality) fails either mode: the
+    // coverage smoke must not pass on rows that only exist by name.
+    let garbage: Vec<String> = candidate
+        .iter()
+        .filter_map(|c| check_row(c).err())
+        .collect();
+    if !garbage.is_empty() {
+        for err in &garbage {
+            eprintln!("bench_diff: {candidate_path}: {err}");
+        }
+        return ExitCode::from(1);
+    }
 
     if coverage_only {
         // Row-coverage gate: the candidate must retain every baseline row

@@ -1,27 +1,8 @@
-//! Shared helpers for the experiment benchmarks (see EXPERIMENTS.md).
-//!
-//! Every bench target regenerates one experiment of the paper reproduction:
-//! it reports the measured quantities (volumes, acceptance rates, errors) on
-//! stderr once, and benchmarks the wall-clock cost of the relevant pipeline
-//! with Criterion.
-
-use criterion::Criterion;
+//! Bench harnesses of the workspace: the perf report (`perf_report`, which
+//! records walk throughput and the paper's claims E1–E12 as rows of
+//! `BENCH_walk.json`), the traffic-shaped load harness ([`load`],
+//! `load_report`, `BENCH_load.json`), and the report parser and gate
+//! ([`report`], `bench_diff`) both are checked with.
 
 pub mod load;
 pub mod report;
-
-/// Criterion configuration shared by all experiment benches: small sample
-/// counts and short measurement windows, because a single iteration already
-/// aggregates many random-walk steps.
-pub fn experiment_criterion() -> Criterion {
-    Criterion::default()
-        .sample_size(10)
-        .warm_up_time(std::time::Duration::from_millis(300))
-        .measurement_time(std::time::Duration::from_millis(1200))
-}
-
-/// Deterministic RNG used by every experiment.
-pub fn rng(seed: u64) -> rand::rngs::StdRng {
-    use rand::SeedableRng;
-    rand::rngs::StdRng::seed_from_u64(seed)
-}

@@ -2,8 +2,11 @@
 //!
 //! Two report families share the row shape gated by `bench_diff`:
 //!
-//! * `cdb-perf-report/v*` — single-query throughput rows written by
-//!   `perf_report` (`steps_per_sec`, `samples_per_sec`);
+//! * `cdb-perf-report/v*` — single-query rows written by `perf_report`:
+//!   walk rows (`steps_per_sec`, `samples_per_sec`) and, from v3 on, the
+//!   paper-claim rows E1–E12 (`ops_per_sec` for the timed op, plus a
+//!   `quality` value — relative error, symmetric difference, acceptance
+//!   rate or χ² — that is recorded beside it and never gated);
 //! * `cdb-load-report/v*` — traffic-shaped load rows written by
 //!   `load_report` (`throughput_rps` plus the `p50_ms`/`p95_ms`/`p99_ms`/
 //!   `max_ms` latency percentiles per query class).
@@ -18,9 +21,10 @@
 //! parsed and displayed but never gated — a single scheduler hiccup should
 //! not fail CI.
 
-/// One parsed report row. Perf rows fill the `steps/samples_per_sec`
-/// columns, load rows the `requests/throughput/latency` columns; a row may
-/// carry any subset and is compared only on the metrics both sides share.
+/// One parsed report row. Walk rows fill the `steps/samples_per_sec`
+/// columns, claim rows `ops_per_sec` and `quality`, load rows the
+/// `requests/throughput/latency` columns; a row may carry any subset and is
+/// compared only on the metrics both sides share.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Row {
     /// Row name (`"e1"`, `"load_sessions.sample"`, …) — the join key.
@@ -33,6 +37,11 @@ pub struct Row {
     pub steps_per_sec: Option<f64>,
     /// End-to-end samples per second (perf rows).
     pub samples_per_sec: Option<f64>,
+    /// Timed operations per second (paper-claim rows).
+    pub ops_per_sec: Option<f64>,
+    /// The claim's quality value, recorded beside the time and never gated
+    /// (paper-claim rows; exact baselines carry none).
+    pub quality: Option<f64>,
     /// Scheduled requests of a load row.
     pub requests: Option<f64>,
     /// Requests that resolved to a payload or typed error (load rows).
@@ -62,15 +71,16 @@ pub fn string_field(object: &str, field: &str) -> Option<String> {
     Some(rest[..rest.find('"')?].to_string())
 }
 
-/// Extracts the numeric value following `"field":` inside `object`.
+/// Extracts the numeric value following `"field":` inside `object`. The
+/// value runs to the next `,` or `}`, so a `NaN` or `inf` a writer printed
+/// parses as that value (and [`check_row`] rejects it) instead of reading as
+/// an absent field.
 pub fn number_field(object: &str, field: &str) -> Option<f64> {
     let needle = format!("\"{field}\"");
     let after = &object[object.find(&needle)? + needle.len()..];
-    let after = after.trim_start().strip_prefix(':')?.trim_start();
-    let end = after
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-        .unwrap_or(after.len());
-    after[..end].parse().ok()
+    let after = after.trim_start().strip_prefix(':')?;
+    let end = after.find([',', '}']).unwrap_or(after.len());
+    after[..end].trim().parse().ok()
 }
 
 /// Parses every `{... "workload": ...}` object of a report.
@@ -95,6 +105,8 @@ pub fn parse_rows(text: &str) -> Result<Vec<Row>, String> {
             kernel: string_field(object, "kernel"),
             steps_per_sec: number_field(object, "steps_per_sec"),
             samples_per_sec: number_field(object, "samples_per_sec"),
+            ops_per_sec: number_field(object, "ops_per_sec"),
+            quality: number_field(object, "quality"),
             requests: number_field(object, "requests"),
             completed: number_field(object, "completed"),
             errors: number_field(object, "errors"),
@@ -143,9 +155,11 @@ pub enum Direction {
 }
 
 /// The gated metrics, with their regression direction. `max_ms` is absent by
-/// design: the worst single request is too noisy to gate.
-pub const GATED_METRICS: [(&str, Direction); 5] = [
+/// design: the worst single request is too noisy to gate, and so is
+/// `quality`: it is a property of the seeded run, not of the machine.
+pub const GATED_METRICS: [(&str, Direction); 6] = [
     ("samples_per_sec", Direction::HigherIsBetter),
+    ("ops_per_sec", Direction::HigherIsBetter),
     ("throughput_rps", Direction::HigherIsBetter),
     ("p50_ms", Direction::LowerIsBetter),
     ("p95_ms", Direction::LowerIsBetter),
@@ -155,11 +169,41 @@ pub const GATED_METRICS: [(&str, Direction); 5] = [
 fn metric(row: &Row, name: &str) -> Option<f64> {
     match name {
         "samples_per_sec" => row.samples_per_sec,
+        "ops_per_sec" => row.ops_per_sec,
         "throughput_rps" => row.throughput_rps,
         "p50_ms" => row.p50_ms,
         "p95_ms" => row.p95_ms,
         "p99_ms" => row.p99_ms,
         _ => None,
+    }
+}
+
+/// Rejects a row no measurement can have produced: a time field (a rate or
+/// a latency) that is non-finite or not positive, or a non-finite quality.
+/// A quality of 0 is legal — an unsatisfiable CNF or a vanishing overlap
+/// accepts nothing.
+pub fn check_row(row: &Row) -> Result<(), String> {
+    let times = [
+        ("steps_per_sec", row.steps_per_sec),
+        ("samples_per_sec", row.samples_per_sec),
+        ("ops_per_sec", row.ops_per_sec),
+        ("throughput_rps", row.throughput_rps),
+        ("p50_ms", row.p50_ms),
+        ("p95_ms", row.p95_ms),
+        ("p99_ms", row.p99_ms),
+        ("max_ms", row.max_ms),
+    ];
+    for (name, value) in times {
+        if let Some(v) = value.filter(|v| !(v.is_finite() && *v > 0.0)) {
+            return Err(format!(
+                "{}: {name} = {v} is not a measured time",
+                row.workload
+            ));
+        }
+    }
+    match row.quality {
+        Some(q) if !q.is_finite() => Err(format!("{}: quality = {q} is not finite", row.workload)),
+        _ => Ok(()),
     }
 }
 
@@ -189,10 +233,11 @@ pub struct MetricDelta {
 pub const LATENCY_SLACK_MS: f64 = 10.0;
 
 /// Compares two rows metric by metric: every gated metric present on *both*
-/// sides yields a [`MetricDelta`]. A perf row gates on `samples_per_sec`, a
-/// load row on `throughput_rps` + latency percentiles — the row shape itself
-/// selects the arms. Latency percentiles additionally get
-/// [`LATENCY_SLACK_MS`] of absolute slack before they count as regressed.
+/// sides yields a [`MetricDelta`]. A walk row gates on `samples_per_sec`, a
+/// claim row on `ops_per_sec` (never on its `quality`), a load row on
+/// `throughput_rps` + latency percentiles — the row shape itself selects the
+/// arms. Latency percentiles additionally get [`LATENCY_SLACK_MS`] of
+/// absolute slack before they count as regressed.
 pub fn compare_row(base: &Row, cand: &Row, tolerance: f64) -> Vec<MetricDelta> {
     let mut deltas = Vec::new();
     for (name, direction) in GATED_METRICS {
@@ -234,6 +279,105 @@ mod tests {
     {"workload": "load_sessions.volume", "requests": 200, "throughput_rps": 310.0, "p50_ms": 3.1, "p95_ms": 8.0, "p99_ms": 12.5, "max_ms": 20.0}
   ]
 }"#;
+
+    /// Rows as `perf_report` writes them from v3 on: the walk rows are
+    /// unchanged, the claim rows time one op and carry a quality (or none,
+    /// for an exact baseline).
+    const PERF_V3_SAMPLE: &str = r#"{
+  "schema": "cdb-perf-report/v3",
+  "workloads": [
+    {"workload": "e1", "dim": 6, "kernel": "axis", "steps_per_sec": 690, "samples_per_sec": 149.0},
+    {"workload": "e8_hull_of_50_samples", "dim": 2, "ops_per_sec": 2750.125, "quality_kind": "sd_pct", "quality": 16.041666666666668},
+    {"workload": "e9_fourier_motzkin_k1", "dim": 3, "ops_per_sec": 2500.000},
+    {"workload": "e11_cnf_intersection_n5", "dim": 5, "ops_per_sec": 41.5, "quality_kind": "acceptance", "quality": 0}
+  ]
+}"#;
+
+    #[test]
+    fn v3_claim_rows_parse_time_and_quality() {
+        let rows = parse_report(PERF_V3_SAMPLE).unwrap();
+        assert_eq!(rows.len(), 4);
+        let hull = find(&rows, "e8_hull_of_50_samples").unwrap();
+        assert_eq!(hull.ops_per_sec, Some(2750.125));
+        assert_eq!(hull.quality, Some(16.041666666666668));
+        assert_eq!(hull.dim, Some(2.0));
+        assert_eq!(hull.samples_per_sec, None);
+        // An exact baseline is timed but has no quality.
+        let fm = find(&rows, "e9_fourier_motzkin_k1").unwrap();
+        assert_eq!(fm.ops_per_sec, Some(2500.0));
+        assert_eq!(fm.quality, None);
+        // Walk rows read exactly as in v2.
+        assert_eq!(rows[0].samples_per_sec, Some(149.0));
+        assert_eq!(rows[0].ops_per_sec, None);
+        assert!(rows.iter().all(|r| check_row(r).is_ok()));
+    }
+
+    #[test]
+    fn claim_time_is_gated_downward_and_quality_never() {
+        let base = find(
+            &parse_rows(PERF_V3_SAMPLE).unwrap(),
+            "e8_hull_of_50_samples",
+        )
+        .unwrap()
+        .clone();
+        let mut cand = base.clone();
+        cand.ops_per_sec = Some(2750.125 * 0.70);
+        cand.quality = Some(1e6);
+        let deltas = compare_row(&base, &cand, 0.15);
+        assert_eq!(deltas.len(), 1, "only the time is gated: {deltas:?}");
+        assert_eq!(deltas[0].metric, "ops_per_sec");
+        assert!(deltas[0].regressed);
+        cand.ops_per_sec = Some(2750.125 * 1.30);
+        assert!(!compare_row(&base, &cand, 0.15)[0].regressed);
+        assert!(GATED_METRICS.iter().all(|(name, _)| *name != "quality"));
+    }
+
+    #[test]
+    fn v2_baseline_joins_v3_candidate_on_walk_rows() {
+        let base = parse_report(PERF_SAMPLE).unwrap();
+        let cand = parse_report(PERF_V3_SAMPLE).unwrap();
+        let shared: Vec<&str> = base
+            .iter()
+            .filter(|b| find(&cand, &b.workload).is_some())
+            .map(|b| b.workload.as_str())
+            .collect();
+        assert_eq!(shared, ["e1"]);
+        let e1 = find(&cand, "e1").unwrap();
+        let deltas = compare_row(&base[0], e1, 0.15);
+        assert_eq!(deltas.len(), 1);
+        assert_eq!(deltas[0].metric, "samples_per_sec");
+        assert!(!deltas[0].regressed, "149.0 vs 150.5 is within 15%");
+    }
+
+    #[test]
+    fn garbage_rows_are_rejected_and_zero_quality_is_not() {
+        let nan = PERF_V3_SAMPLE.replace("\"quality\": 16.041666666666668", "\"quality\": NaN");
+        let rows = parse_report(&nan).unwrap();
+        let row = find(&rows, "e8_hull_of_50_samples").unwrap();
+        assert!(
+            row.quality.is_some_and(f64::is_nan),
+            "NaN must not read as absent"
+        );
+        assert!(check_row(row).is_err());
+
+        let zero = PERF_V3_SAMPLE.replace("\"ops_per_sec\": 2500.000", "\"ops_per_sec\": 0.000");
+        let rows = parse_report(&zero).unwrap();
+        assert!(check_row(find(&rows, "e9_fourier_motzkin_k1").unwrap()).is_err());
+
+        let huge = PERF_SAMPLE.replace("31e6", "inf");
+        assert!(check_row(&parse_rows(&huge).unwrap()[1]).is_err());
+
+        // An intersection that accepts nothing is a measurement, not garbage.
+        let rows = parse_report(PERF_V3_SAMPLE).unwrap();
+        let refusal = find(&rows, "e11_cnf_intersection_n5").unwrap();
+        assert_eq!(refusal.quality, Some(0.0));
+        assert!(check_row(refusal).is_ok());
+
+        let mut stalled = parse_rows(LOAD_SAMPLE).unwrap()[0].clone();
+        assert!(check_row(&stalled).is_ok());
+        stalled.throughput_rps = Some(0.0);
+        assert!(check_row(&stalled).is_err());
+    }
 
     #[test]
     fn rows_parse_with_names_and_numbers() {
