@@ -2,7 +2,6 @@
 # CI gate for the spatial-cdb workspace. Run from anywhere; offline-safe.
 #
 # Usage: ./ci.sh [--quick] [--bench] [--bench-quick] [--bench-compare <baseline.json>]
-#                [--bench-load]
 #   --quick        skip the heavy statistical acceptance gates (chi-square
 #                  uniformity and (eps, delta) volume tests in
 #                  tests/statistical.rs) for fast local iteration. The full
@@ -23,21 +22,19 @@
 #                  perf-regression gate: run the REAL perf report (rewrites
 #                  BENCH_walk.json), then `bench_diff` it against the given
 #                  baseline — any shared row more than 15% slower fails CI.
-#   --bench-load   run the REAL traffic-shaped load report (rewrites
-#                  BENCH_load.json with full request counts) in place of the
-#                  default load smoke, then gate it against the committed
-#                  baseline with bench_diff (throughput may not drop, nor
-#                  latency percentiles rise, beyond 15%).
 #
 # Every default pass additionally validates the quick smoke report against
 # the committed BENCH_walk.json for row coverage only (every kernel row, all
 # three e7 walk rows — warm/cold rejection twins plus the stratified
-# selector — the warm/cold prepared-store twins e_shared_subrelations{,_cold}
-# and the fifty paper-claim rows e1_* ... e12_* must still exist), so neither
+# selector — the warm/cold prepared-store twins e_shared_subrelations{,_cold},
+# the fifty paper-claim rows e1_* ... e12_* and the two degenerate_* rounding
+# rows must still exist), so neither
 # dispatch coverage nor an experiment can silently drop out; a smoke row with
 # a non-finite or non-positive time, or a non-finite quality, fails it too.
-# A per-stage wall-clock summary is printed at the end so slow-stage creep
-# shows up in CI logs.
+# End-to-end traffic (throughput and latency per query class, in process
+# and over HTTP) is the perfbench package's; the perfbench, recon and warm
+# stages build it and check its answers. A per-stage wall-clock summary is
+# printed at the end so slow-stage creep shows up in CI logs.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -46,14 +43,12 @@ export CARGO_NET_OFFLINE=true
 QUICK=0
 BENCH=0
 BENCH_QUICK=0
-BENCH_LOAD=0
 BENCH_COMPARE=""
 while [ $# -gt 0 ]; do
   case "$1" in
     --quick) QUICK=1 ;;
     --bench) BENCH=1 ;;
     --bench-quick) BENCH_QUICK=1 ;;
-    --bench-load) BENCH_LOAD=1 ;;
     --bench-compare)
       [ $# -ge 2 ] || { echo "--bench-compare needs a baseline file" >&2; exit 2; }
       BENCH_COMPARE="$2"
@@ -168,37 +163,6 @@ if [ "$QUICK" = "1" ]; then
   CDB_SERVER_QUICK=1 cargo test -q --test server
 else
   cargo test -q --test server
-fi
-stage_end
-
-stage_begin load
-echo "==> traffic-shaped load harness (open-loop latency rows + bench_diff coverage)"
-if [ "$BENCH_LOAD" = "1" ]; then
-  # Real measurement: rewrite the committed baseline, then gate the fresh
-  # numbers against the previous one (snapshot first — the report is about
-  # to overwrite the file being compared).
-  mkdir -p target
-  cp BENCH_load.json target/load_compare_baseline.json
-  echo "==> load report (full request counts, rewrites BENCH_load.json)"
-  cargo run --release -p cdb-bench --bin load_report
-  echo "==> bench_diff against the previous BENCH_load.json (tolerance 15%)"
-  bench_diff target/load_compare_baseline.json BENCH_load.json
-else
-  # Every CI pass replays all four mixes (including the HTTP loopback smoke
-  # mix) with ~20x fewer requests: numbers
-  # are meaningless, but every dispatch path runs and the emitted rows must
-  # still cover the committed baseline's row set.
-  echo "==> load smoke (CDB_LOAD_QUICK=1, target/BENCH_load_quick.json)"
-  CDB_LOAD_QUICK=1 cargo run --release -p cdb-bench --bin load_report
-  echo "==> bench_diff row coverage (target/BENCH_load_quick.json vs BENCH_load.json)"
-  bench_diff BENCH_load.json target/BENCH_load_quick.json --coverage-only
-fi
-# The end-to-end harness tests (every request resolves, schema roundtrip,
-# baseline coverage); quick mode shrinks the request counts.
-if [ "$QUICK" = "1" ]; then
-  CDB_LOAD_QUICK=1 cargo test -q --test load
-else
-  cargo test -q --test load
 fi
 stage_end
 

@@ -1,26 +1,20 @@
-//! Perf-regression gate over two `BENCH_*.json`-schema reports.
+//! Perf-regression gate over two `BENCH_walk.json`-schema reports.
 //!
 //! Compares a candidate report row by row against a baseline and exits
 //! nonzero when any *shared* row regresses beyond the tolerance (default
 //! 15% — wide enough to absorb the ~10% machine drift ROADMAP documents
 //! between sessions, tight enough to catch real hot-path regressions).
-//! Both report schemas are accepted, in either position and mixed:
-//! `cdb-perf-report/v*` rows gate on `samples_per_sec` (walk rows) or
-//! `ops_per_sec` (paper-claim rows; their `quality` is never gated),
-//! both lower-is-worse,
-//! `cdb-load-report/v*` rows on `throughput_rps` (lower is worse) plus the
-//! `p50_ms`/`p95_ms`/`p99_ms` latency percentiles (higher is worse, with
-//! `LATENCY_SLACK_MS` of absolute slack so sub-10ms tail jitter cannot
-//! flake the gate); `max_ms` is displayed by the load report but never
-//! gated. Rows present
-//! on only one side are reported but never fail the gate, so adding
-//! workloads is painless; `--coverage-only` instead checks that every
-//! baseline row still exists in the candidate (and skips the numeric
-//! comparison entirely) — the mode `ci.sh` runs on every default pass
-//! against the quick smoke reports, whose numbers are meaningless but whose
-//! row sets prove every dispatch path still executes. In both modes a
-//! candidate row with a non-finite or non-positive time, or a non-finite
-//! quality, fails the gate (`cdb_bench::report::check_row`).
+//! Both files are `cdb-perf-report/v*` reports: walk rows gate on
+//! `samples_per_sec`, paper-claim rows on `ops_per_sec` (their `quality` is
+//! never gated), both lower-is-worse. Rows present on only one side are
+//! reported but never fail the gate, so adding workloads is painless;
+//! `--coverage-only` instead checks that every baseline row still exists in
+//! the candidate (and skips the numeric comparison entirely) — the mode
+//! `ci.sh` runs on every default pass against the quick smoke report, whose
+//! numbers are meaningless but whose row set proves every dispatch path
+//! still executes. In both modes a candidate row with a non-finite or
+//! non-positive rate, or a non-finite quality, fails the gate
+//! (`cdb_bench::report::check_row`).
 //!
 //! ```text
 //! bench_diff <baseline.json> <candidate.json> [--tolerance 0.15] [--coverage-only]
@@ -29,8 +23,8 @@
 //! Exit codes: `0` pass, `1` regression, lost coverage or a garbage row,
 //! `2` usage or parse error.
 //!
-//! Parsing and the metric-direction table live in `cdb_bench::report`, where
-//! they are unit-tested and shared with `tests/load.rs`.
+//! Parsing and the gated-metric table live in `cdb_bench::report`, where
+//! they are unit-tested.
 
 use std::process::ExitCode;
 

@@ -23,7 +23,9 @@
 //!   a uniformity χ²) is computed from a fixed seed before any timing, so
 //!   it is identical on every run; `ops_per_sec` times the op that the
 //!   quality describes. Exact baselines (Fourier–Motzkin, symbolic
-//!   evaluation) are timed and carry no quality.
+//!   evaluation) are timed and carry no quality. Two `degenerate_*` rows
+//!   time the rounding path the same way: a cold volume query on a
+//!   high-aspect body, with its error against the closed form.
 //!
 //! `bench_diff` gates `samples_per_sec` and `ops_per_sec`; qualities are
 //! recorded, never gated.
@@ -53,7 +55,7 @@ use cdb_sampler::{
     RelationGenerator, RelationVolumeEstimator, UnionGenerator,
 };
 use cdb_workloads::projection::deep_cone;
-use cdb_workloads::{gis, polytopes, sat, structured};
+use cdb_workloads::{degenerate, gis, polytopes, sat, structured};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -67,10 +69,11 @@ struct Row {
 /// The measured columns of a row.
 enum Metrics {
     /// Walk throughput. `kernel` is the constraint-matrix kernel the walk
-    /// dispatches to (`"oracle"`/`"mixed"` for non-polytope bodies).
+    /// dispatches to (`"oracle"`/`"mixed"` for non-polytope bodies);
+    /// `steps_per_sec` is `None` for a row whose samples run no walk.
     Walk {
         kernel: &'static str,
-        steps_per_sec: f64,
+        steps_per_sec: Option<f64>,
         samples_per_sec: f64,
     },
     /// A paper claim: the timed op's rate and the claim's quality (`None`
@@ -130,7 +133,14 @@ impl Report {
         n as f64 / start.elapsed().as_secs_f64()
     }
 
-    fn walk(&mut self, workload: &str, dim: usize, kernel: &'static str, steps: f64, sps: f64) {
+    fn walk(
+        &mut self,
+        workload: &str,
+        dim: usize,
+        kernel: &'static str,
+        steps: Option<f64>,
+        sps: f64,
+    ) {
         self.rows.push(Row {
             workload: workload.into(),
             dim,
@@ -154,7 +164,7 @@ impl Report {
             std::hint::black_box(sampler.sample(&mut rng));
         });
         let steps = sps * self.params.walk_steps(d) as f64;
-        self.walk(workload, d, p.matrix().kind(), steps, sps);
+        self.walk(workload, d, p.matrix().kind(), Some(steps), sps);
     }
 
     /// Times `op` into a claim row beside `quality`, which the caller
@@ -202,7 +212,7 @@ fn walk_rows(report: &mut Report) {
             std::hint::black_box(sampler.sample(&mut rng));
         });
         let steps = sps * params.walk_steps(d) as f64;
-        report.walk("e2_ball_hit_and_run", d, "oracle", steps, sps);
+        report.walk("e2_ball_hit_and_run", d, "oracle", Some(steps), sps);
     }
 
     // e7: the cylinder-compensated projection generator on the 3-dimensional
@@ -248,10 +258,14 @@ fn walk_rows(report: &mut Report) {
             let sps = report.measure(|| {
                 std::hint::black_box(generator.sample(&mut rng));
             });
-            // One emitted sample costs 1/acceptance chains of walk_steps
-            // each (exactly 1 for the stratified selector).
-            let acceptance = generator.acceptance_rate().max(1e-12);
-            let steps = sps * proj_params.walk_steps(d) as f64 / acceptance;
+            // One emitted rejection sample costs 1/acceptance chains of
+            // walk_steps each. A stratified sample is one alias-table draw
+            // plus a jitter inside the cell: it runs no walk, so its row
+            // records no step rate.
+            let steps = (selection == CellSelection::Rejection).then(|| {
+                let acceptance = generator.acceptance_rate().max(1e-12);
+                sps * proj_params.walk_steps(d) as f64 / acceptance
+            });
             report.walk(workload, d, "mixed", steps, sps);
         }
     }
@@ -293,7 +307,7 @@ fn walk_rows(report: &mut Report) {
                 std::hint::black_box(db.query_with_rng(&spec, &mut rng).unwrap());
             });
             let steps = sps * params.walk_steps(d) as f64;
-            report.walk(workload, d, "axis", steps, sps);
+            report.walk(workload, d, "axis", Some(steps), sps);
         }
     }
 
@@ -645,9 +659,10 @@ fn e11_e12_sat_polynomial(report: &mut Report) {
     for d in [2usize, 4, 6] {
         let mut r = StdRng::seed_from_u64(1200 + d as u64);
         // A ball (degree-2 polynomial constraint) through the generic oracle,
-        // behind its tight certificate: the exact-certificate shortcut.
+        // behind the loose certificate E2 uses, so the estimate runs a DFK
+        // walk (a tight one would take the exact-certificate shortcut).
         let ball = Ellipsoid::ball(Vector::zeros(d), 1.0).expect("unit ball");
-        let body = ConvexBody::from_oracle(Arc::new(ball), Vector::zeros(d), 1.0, 1.0);
+        let body = ConvexBody::from_oracle(Arc::new(ball), Vector::zeros(d), 0.8, 1.25);
         let sampler = DfkSampler::new(body, params, &mut r);
         let ball_quality = rel_err_pct(
             sampler.estimate_volume_median(3, &mut r),
@@ -676,6 +691,37 @@ fn e11_e12_sat_polynomial(report: &mut Report) {
     }
 }
 
+/// The rounding path on high-aspect bodies: one-repeat volume queries on
+/// the needle box and the squeezed simplex of `degenerate::suite(3, 16)`,
+/// through a `SpatialDatabase` with rounding on and the store disabled, so
+/// every op pays canonicalization, rounding and preparation as well as the
+/// estimate. Quality: the first answer's error against the closed form.
+fn degenerate_rounding(report: &mut Report) {
+    let params = GeneratorParams {
+        rounding: true,
+        ..report.params
+    };
+    let d = 3;
+    for body in degenerate::suite(d, 16) {
+        let mut db = SpatialDatabase::with_params(params).with_store_capacity(0);
+        db.insert(body.name, body.relation.clone());
+        let spec = QuerySpec::volume(body.name, 1);
+        let mut r = StdRng::seed_from_u64(1300);
+        let estimate = db
+            .query_with_rng(&spec, &mut r)
+            .ok()
+            .and_then(|o| o.volume())
+            .unwrap_or(f64::NAN);
+        let quality = rel_err_pct(estimate, body.exact_volume);
+        report.claim(
+            format!("degenerate_{}_volume_d{d}", body.name),
+            d,
+            quality,
+            || db.query_with_rng(&spec, &mut r),
+        );
+    }
+}
+
 fn main() {
     let quick = std::env::var("CDB_BENCH_QUICK").is_ok_and(|v| v == "1");
     let (warmup_ms, window_ms) = if quick { (5, 25) } else { (300, 1500) };
@@ -692,6 +738,7 @@ fn main() {
     e7_projection(&mut report);
     e8_e10_reconstruction(&mut report);
     e11_e12_sat_polynomial(&mut report);
+    degenerate_rounding(&mut report);
 
     let unix_time = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
@@ -714,9 +761,14 @@ fn main() {
                 kernel,
                 steps_per_sec,
                 samples_per_sec,
-            } => format!(
-                "\"kernel\": \"{kernel}\", \"steps_per_sec\": {steps_per_sec:.0}, \"samples_per_sec\": {samples_per_sec:.1}"
-            ),
+            } => {
+                let steps = steps_per_sec
+                    .map(|steps| format!(", \"steps_per_sec\": {steps:.0}"))
+                    .unwrap_or_default();
+                format!(
+                    "\"kernel\": \"{kernel}\"{steps}, \"samples_per_sec\": {samples_per_sec:.1}"
+                )
+            }
             // `{}` prints the shortest text that reads back as the same f64,
             // so a recorded quality keeps every bit.
             Metrics::Claim {

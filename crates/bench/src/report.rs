@@ -1,65 +1,38 @@
-//! Parsing and comparison of the `BENCH_*.json` report schemas.
+//! Parsing and comparison of the `cdb-perf-report/v*` schema that
+//! `perf_report` writes to `BENCH_walk.json`.
 //!
-//! Two report families share the row shape gated by `bench_diff`:
-//!
-//! * `cdb-perf-report/v*` — single-query rows written by `perf_report`:
-//!   walk rows (`steps_per_sec`, `samples_per_sec`) and, from v3 on, the
-//!   paper-claim rows E1–E12 (`ops_per_sec` for the timed op, plus a
-//!   `quality` value — relative error, symmetric difference, acceptance
-//!   rate or χ² — that is recorded beside it and never gated);
-//! * `cdb-load-report/v*` — traffic-shaped load rows written by
-//!   `load_report` (`throughput_rps` plus the `p50_ms`/`p95_ms`/`p99_ms`/
-//!   `max_ms` latency percentiles per query class).
+//! A report holds two row families, gated by `bench_diff`: walk rows
+//! (`steps_per_sec`, `samples_per_sec`) and, from v3 on, the paper-claim
+//! rows E1–E12 (`ops_per_sec` for the timed op, plus a `quality` value —
+//! relative error, symmetric difference, acceptance rate or χ² — that is
+//! recorded beside it and never gated).
 //!
 //! The parser is deliberately minimal (the workspace is offline — no serde):
-//! it scans for the `"workload"` keys both reports write, and extracts the
-//! sibling fields of each flat row object. Comparison is metric-directional:
-//! throughput metrics regress when the candidate is *lower* than
-//! `baseline · (1 − tolerance)`, latency percentiles when it is *higher*
-//! than `baseline · (1 + tolerance)` **and** more than [`LATENCY_SLACK_MS`]
-//! worse (sub-10ms tails jitter by whole multiples run to run). `max_ms` is
-//! parsed and displayed but never gated — a single scheduler hiccup should
-//! not fail CI.
+//! it scans for the `"workload"` keys the report writes, and extracts the
+//! sibling fields of each flat row object. A gated rate regresses when the
+//! candidate is *lower* than `baseline · (1 − tolerance)`.
 
 /// One parsed report row. Walk rows fill the `steps/samples_per_sec`
-/// columns, claim rows `ops_per_sec` and `quality`, load rows the
-/// `requests/throughput/latency` columns; a row may carry any subset and is
-/// compared only on the metrics both sides share.
+/// columns, claim rows `ops_per_sec` and `quality`; a row is compared only
+/// on the metrics both sides share.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Row {
-    /// Row name (`"e1"`, `"load_sessions.sample"`, …) — the join key.
+    /// Row name (`"e1_polytope_hit_and_run"`, `"e8_hull_of_50_samples"`, …)
+    /// — the join key.
     pub workload: String,
     /// Ambient dimension, when the report records one.
     pub dim: Option<f64>,
-    /// Kernel label of perf rows.
+    /// Kernel label of walk rows.
     pub kernel: Option<String>,
-    /// Walk steps per second (perf rows).
+    /// Walk steps per second (walk rows whose samples run a walk).
     pub steps_per_sec: Option<f64>,
-    /// End-to-end samples per second (perf rows).
+    /// End-to-end samples per second (walk rows).
     pub samples_per_sec: Option<f64>,
     /// Timed operations per second (paper-claim rows).
     pub ops_per_sec: Option<f64>,
     /// The claim's quality value, recorded beside the time and never gated
     /// (paper-claim rows; exact baselines carry none).
     pub quality: Option<f64>,
-    /// Scheduled requests of a load row.
-    pub requests: Option<f64>,
-    /// Requests that resolved to a payload or typed error (load rows).
-    pub completed: Option<f64>,
-    /// Resolved requests that returned a typed error (load rows).
-    pub errors: Option<f64>,
-    /// Requests lost to contained worker panics (load rows).
-    pub lost: Option<f64>,
-    /// Completed requests per second of wall clock (load rows).
-    pub throughput_rps: Option<f64>,
-    /// Median latency in milliseconds (load rows).
-    pub p50_ms: Option<f64>,
-    /// 95th-percentile latency in milliseconds (load rows).
-    pub p95_ms: Option<f64>,
-    /// 99th-percentile latency in milliseconds (load rows).
-    pub p99_ms: Option<f64>,
-    /// Worst observed latency in milliseconds (load rows; never gated).
-    pub max_ms: Option<f64>,
 }
 
 /// Extracts the string value following `"field":` inside `object`.
@@ -89,7 +62,7 @@ pub fn parse_rows(text: &str) -> Result<Vec<Row>, String> {
     let mut rest = text;
     while let Some(pos) = rest.find("\"workload\"") {
         // The row object spans from the `{` before the key to the next `}`
-        // (row objects are flat — both report writers emit one per line).
+        // (row objects are flat — the report writer emits one per line).
         let open = rest[..pos]
             .rfind('{')
             .ok_or("malformed report: workload key outside an object")?;
@@ -107,15 +80,6 @@ pub fn parse_rows(text: &str) -> Result<Vec<Row>, String> {
             samples_per_sec: number_field(object, "samples_per_sec"),
             ops_per_sec: number_field(object, "ops_per_sec"),
             quality: number_field(object, "quality"),
-            requests: number_field(object, "requests"),
-            completed: number_field(object, "completed"),
-            errors: number_field(object, "errors"),
-            lost: number_field(object, "lost"),
-            throughput_rps: number_field(object, "throughput_rps"),
-            p50_ms: number_field(object, "p50_ms"),
-            p95_ms: number_field(object, "p95_ms"),
-            p99_ms: number_field(object, "p99_ms"),
-            max_ms: number_field(object, "max_ms"),
         });
         rest = &rest[close..];
     }
@@ -125,11 +89,11 @@ pub fn parse_rows(text: &str) -> Result<Vec<Row>, String> {
     Ok(rows)
 }
 
-/// Parses a full report file's text: requires one of the two schema markers,
-/// then delegates to [`parse_rows`].
+/// Parses a full report file's text: requires the schema marker, then
+/// delegates to [`parse_rows`].
 pub fn parse_report(text: &str) -> Result<Vec<Row>, String> {
-    if !text.contains("cdb-perf-report/") && !text.contains("cdb-load-report/") {
-        return Err("missing the cdb-perf-report/cdb-load-report schema marker".into());
+    if !text.contains("cdb-perf-report/") {
+        return Err("missing the cdb-perf-report schema marker".into());
     }
     parse_rows(text)
 }
@@ -145,41 +109,21 @@ pub fn find<'a>(rows: &'a [Row], name: &str) -> Option<&'a Row> {
     rows.iter().find(|r| r.workload == name)
 }
 
-/// Which direction of change counts as a regression for a metric.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Direction {
-    /// Throughput-like: a candidate *below* `base · (1 − tol)` regresses.
-    HigherIsBetter,
-    /// Latency-like: a candidate *above* `base · (1 + tol)` regresses.
-    LowerIsBetter,
-}
-
-/// The gated metrics, with their regression direction. `max_ms` is absent by
-/// design: the worst single request is too noisy to gate, and so is
+/// The gated metrics, each a rate that regresses downward. `steps_per_sec`
+/// is absent because it is derived from `samples_per_sec`, and so is
 /// `quality`: it is a property of the seeded run, not of the machine.
-pub const GATED_METRICS: [(&str, Direction); 6] = [
-    ("samples_per_sec", Direction::HigherIsBetter),
-    ("ops_per_sec", Direction::HigherIsBetter),
-    ("throughput_rps", Direction::HigherIsBetter),
-    ("p50_ms", Direction::LowerIsBetter),
-    ("p95_ms", Direction::LowerIsBetter),
-    ("p99_ms", Direction::LowerIsBetter),
-];
+pub const GATED_METRICS: [&str; 2] = ["samples_per_sec", "ops_per_sec"];
 
 fn metric(row: &Row, name: &str) -> Option<f64> {
     match name {
         "samples_per_sec" => row.samples_per_sec,
         "ops_per_sec" => row.ops_per_sec,
-        "throughput_rps" => row.throughput_rps,
-        "p50_ms" => row.p50_ms,
-        "p95_ms" => row.p95_ms,
-        "p99_ms" => row.p99_ms,
         _ => None,
     }
 }
 
-/// Rejects a row no measurement can have produced: a time field (a rate or
-/// a latency) that is non-finite or not positive, or a non-finite quality.
+/// Rejects a row no measurement can have produced: a rate that is
+/// non-finite or not positive, or a non-finite quality.
 /// A quality of 0 is legal — an unsatisfiable CNF or a vanishing overlap
 /// accepts nothing.
 pub fn check_row(row: &Row) -> Result<(), String> {
@@ -187,11 +131,6 @@ pub fn check_row(row: &Row) -> Result<(), String> {
         ("steps_per_sec", row.steps_per_sec),
         ("samples_per_sec", row.samples_per_sec),
         ("ops_per_sec", row.ops_per_sec),
-        ("throughput_rps", row.throughput_rps),
-        ("p50_ms", row.p50_ms),
-        ("p95_ms", row.p95_ms),
-        ("p99_ms", row.p99_ms),
-        ("max_ms", row.max_ms),
     ];
     for (name, value) in times {
         if let Some(v) = value.filter(|v| !(v.is_finite() && *v > 0.0)) {
@@ -218,43 +157,27 @@ pub struct MetricDelta {
     pub cand: f64,
     /// Relative change `cand/base − 1` (0 when the baseline is 0).
     pub delta: f64,
-    /// Whether the change regresses beyond the tolerance, in the metric's
-    /// direction.
+    /// Whether the rate dropped beyond the tolerance.
     pub regressed: bool,
 }
 
-/// Absolute slack for latency-percentile gates, in milliseconds. At modest
-/// request counts a p99 is the handful of worst requests, and sub-10ms
-/// percentiles jitter by whole multiples run to run (one scheduler hiccup
-/// lands on a different request each time), so a purely relative tolerance
-/// flakes. A latency metric regresses only when it is beyond the relative
-/// tolerance *and* more than this many milliseconds worse — the gate exists
-/// to catch real stalls, not timer noise.
-pub const LATENCY_SLACK_MS: f64 = 10.0;
-
 /// Compares two rows metric by metric: every gated metric present on *both*
 /// sides yields a [`MetricDelta`]. A walk row gates on `samples_per_sec`, a
-/// claim row on `ops_per_sec` (never on its `quality`), a load row on
-/// `throughput_rps` + latency percentiles — the row shape itself selects the
-/// arms. Latency percentiles additionally get [`LATENCY_SLACK_MS`] of
-/// absolute slack before they count as regressed.
+/// claim row on `ops_per_sec` (never on its `quality`) — the row shape
+/// itself selects the arm.
 pub fn compare_row(base: &Row, cand: &Row, tolerance: f64) -> Vec<MetricDelta> {
     let mut deltas = Vec::new();
-    for (name, direction) in GATED_METRICS {
+    for name in GATED_METRICS {
         let (Some(b), Some(c)) = (metric(base, name), metric(cand, name)) else {
             continue;
         };
         let delta = if b > 0.0 { c / b - 1.0 } else { 0.0 };
-        let regressed = match direction {
-            Direction::HigherIsBetter => delta < -tolerance,
-            Direction::LowerIsBetter => delta > tolerance && c - b > LATENCY_SLACK_MS,
-        };
         deltas.push(MetricDelta {
             metric: name,
             base: b,
             cand: c,
             delta,
-            regressed,
+            regressed: delta < -tolerance,
         });
     }
     deltas
@@ -269,14 +192,6 @@ mod tests {
   "workloads": [
     {"workload": "e1", "dim": 6, "kernel": "axis", "steps_per_sec": 700, "samples_per_sec": 150.5},
     {"workload": "e7_cold", "dim": 3, "kernel": "mixed", "steps_per_sec": 31e6, "samples_per_sec": 133.5}
-  ]
-}"#;
-
-    const LOAD_SAMPLE: &str = r#"{
-  "schema": "cdb-load-report/v1",
-  "workloads": [
-    {"workload": "load_sessions.sample", "requests": 500, "completed": 498, "errors": 3, "lost": 2, "throughput_rps": 1200.5, "p50_ms": 0.8, "p95_ms": 2.5, "p99_ms": 4.0, "max_ms": 9.1},
-    {"workload": "load_sessions.volume", "requests": 200, "throughput_rps": 310.0, "p50_ms": 3.1, "p95_ms": 8.0, "p99_ms": 12.5, "max_ms": 20.0}
   ]
 }"#;
 
@@ -329,7 +244,7 @@ mod tests {
         assert!(deltas[0].regressed);
         cand.ops_per_sec = Some(2750.125 * 1.30);
         assert!(!compare_row(&base, &cand, 0.15)[0].regressed);
-        assert!(GATED_METRICS.iter().all(|(name, _)| *name != "quality"));
+        assert!(!GATED_METRICS.contains(&"quality"));
     }
 
     #[test]
@@ -373,10 +288,8 @@ mod tests {
         assert_eq!(refusal.quality, Some(0.0));
         assert!(check_row(refusal).is_ok());
 
-        let mut stalled = parse_rows(LOAD_SAMPLE).unwrap()[0].clone();
-        assert!(check_row(&stalled).is_ok());
-        stalled.throughput_rps = Some(0.0);
-        assert!(check_row(&stalled).is_err());
+        let stalled = PERF_SAMPLE.replace("133.5", "0.0");
+        assert!(check_row(&parse_rows(&stalled).unwrap()[1]).is_err());
     }
 
     #[test]
@@ -388,31 +301,9 @@ mod tests {
         assert_eq!(rows[0].kernel.as_deref(), Some("axis"));
         assert_eq!(rows[1].steps_per_sec, Some(31e6));
         assert_eq!(rows[1].dim, Some(3.0));
-        // Perf rows carry no load metrics.
-        assert_eq!(rows[0].p95_ms, None);
-        assert_eq!(rows[0].throughput_rps, None);
-    }
-
-    #[test]
-    fn load_rows_parse_latency_percentiles() {
-        let rows = parse_rows(LOAD_SAMPLE).unwrap();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].workload, "load_sessions.sample");
-        assert_eq!(rows[0].requests, Some(500.0));
-        assert_eq!(rows[0].completed, Some(498.0));
-        assert_eq!(rows[0].errors, Some(3.0));
-        assert_eq!(rows[0].lost, Some(2.0));
-        assert_eq!(rows[0].throughput_rps, Some(1200.5));
-        // A row without the accounting fields parses with them absent.
-        assert_eq!(rows[1].completed, None);
-        assert_eq!(rows[1].errors, None);
-        assert_eq!(rows[1].lost, None);
-        assert_eq!(rows[0].p50_ms, Some(0.8));
-        assert_eq!(rows[0].p95_ms, Some(2.5));
-        assert_eq!(rows[0].p99_ms, Some(4.0));
-        assert_eq!(rows[0].max_ms, Some(9.1));
-        // Load rows carry no perf metrics.
-        assert_eq!(rows[0].samples_per_sec, None);
+        // Walk rows carry no claim columns.
+        assert_eq!(rows[0].ops_per_sec, None);
+        assert_eq!(rows[0].quality, None);
     }
 
     #[test]
@@ -422,75 +313,35 @@ mod tests {
     }
 
     #[test]
-    fn both_schema_markers_are_accepted_and_others_rejected() {
+    fn the_perf_schema_marker_is_required() {
         assert!(parse_report(PERF_SAMPLE).is_ok());
-        assert!(parse_report(LOAD_SAMPLE).is_ok());
-        let unmarked = LOAD_SAMPLE.replace("cdb-load-report/v1", "mystery/v9");
+        let unmarked = PERF_SAMPLE.replace("cdb-perf-report/v2", "mystery/v9");
         assert!(parse_report(&unmarked).is_err());
     }
 
     #[test]
-    fn latency_metrics_regress_upward_and_throughput_downward() {
-        let rows = parse_rows(LOAD_SAMPLE).unwrap();
-        let base = &rows[0];
-        let mut worse = base.clone();
-        worse.p95_ms = Some(2.5 + 15.0); // +600% and beyond the absolute slack
-        worse.p50_ms = Some(0.8 * 1.30); // +30% but sub-slack jitter: fine
-        worse.throughput_rps = Some(1200.5 * 1.30); // +30% throughput: fine
-        let deltas = compare_row(base, &worse, 0.15);
-        let by_name = |n: &str| deltas.iter().find(|d| d.metric == n).unwrap();
-        assert!(by_name("p95_ms").regressed);
-        assert!(!by_name("throughput_rps").regressed);
-        assert!(!by_name("p50_ms").regressed);
-
-        // A big relative spike that stays within LATENCY_SLACK_MS absolute
-        // is timer noise, not a regression.
-        let mut jitter = base.clone();
-        jitter.p99_ms = Some(4.0 + LATENCY_SLACK_MS - 0.5);
-        let deltas = compare_row(base, &jitter, 0.15);
-        assert!(
-            !deltas
-                .iter()
-                .find(|d| d.metric == "p99_ms")
-                .unwrap()
-                .regressed
-        );
-
-        let mut slower = base.clone();
-        slower.throughput_rps = Some(1200.5 * 0.70); // −30% throughput
-        slower.p99_ms = Some(4.0 * 0.70); // −30% latency: improvement
-        let deltas = compare_row(base, &slower, 0.15);
-        let by_name = |n: &str| deltas.iter().find(|d| d.metric == n).unwrap();
-        assert!(by_name("throughput_rps").regressed);
-        assert!(!by_name("p99_ms").regressed);
-    }
-
-    #[test]
     fn comparison_only_covers_metrics_present_on_both_sides() {
-        let perf = &parse_rows(PERF_SAMPLE).unwrap()[0];
-        let load = &parse_rows(LOAD_SAMPLE).unwrap()[0];
+        let rows = parse_rows(PERF_V3_SAMPLE).unwrap();
+        let walk = find(&rows, "e1").unwrap();
+        let claim = find(&rows, "e8_hull_of_50_samples").unwrap();
         // Disjoint metric sets: nothing to compare, nothing to regress.
-        assert!(compare_row(perf, load, 0.15).is_empty());
-        // max_ms is never gated even when present on both sides.
-        let metrics: Vec<&str> = compare_row(load, load, 0.15)
+        assert!(compare_row(walk, claim, 0.15).is_empty());
+        // steps_per_sec is never gated even when present on both sides.
+        let metrics: Vec<&str> = compare_row(walk, walk, 0.15)
             .iter()
             .map(|d| d.metric)
             .collect();
-        assert!(!metrics.contains(&"max_ms"));
-        assert_eq!(metrics.len(), 4);
+        assert_eq!(metrics, ["samples_per_sec"]);
     }
 
     #[test]
     fn zero_baseline_never_divides_or_regresses() {
-        let mut base = parse_rows(LOAD_SAMPLE).unwrap()[0].clone();
-        base.throughput_rps = Some(0.0);
-        let cand = parse_rows(LOAD_SAMPLE).unwrap()[0].clone();
+        let mut base = parse_rows(PERF_SAMPLE).unwrap()[0].clone();
+        base.samples_per_sec = Some(0.0);
+        let cand = parse_rows(PERF_SAMPLE).unwrap()[0].clone();
         let deltas = compare_row(&base, &cand, 0.15);
-        let tp = deltas
-            .iter()
-            .find(|d| d.metric == "throughput_rps")
-            .unwrap();
-        assert_eq!(tp.delta, 0.0);
-        assert!(!tp.regressed);
+        assert_eq!(deltas.len(), 1);
+        assert_eq!(deltas[0].delta, 0.0);
+        assert!(!deltas[0].regressed);
     }
 }

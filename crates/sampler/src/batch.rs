@@ -272,50 +272,6 @@ where
     FanOutReport { slots, panics }
 }
 
-/// One completed item of a [`fan_out_contained_timed`] run: the task's value
-/// plus monotonic start/finish offsets measured from the caller's epoch.
-#[derive(Clone, Debug)]
-pub struct TimedItem<T> {
-    /// The task's return value.
-    pub value: T,
-    /// Offset from `epoch` at which the task closure began executing.
-    pub started: std::time::Duration,
-    /// Offset from `epoch` at which the task closure returned.
-    pub finished: std::time::Duration,
-}
-
-/// [`fan_out_contained`] with per-item completion timestamps.
-///
-/// Every slot records when its task started and finished, as offsets from the
-/// caller-supplied `epoch` — passing the epoch in (rather than capturing one
-/// internally) lets callers align the offsets with an externally computed
-/// schedule, which is how the load harness measures latency from the
-/// *scheduled* arrival rather than from dispatch. Timestamps are measurement
-/// metadata only: the task values keep the same determinism contract as
-/// [`fan_out_contained`].
-pub fn fan_out_contained_timed<T, S, I, F>(
-    n: usize,
-    threads: usize,
-    epoch: std::time::Instant,
-    init: I,
-    task: F,
-) -> FanOutReport<TimedItem<T>>
-where
-    T: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> T + Sync,
-{
-    fan_out_contained(n, threads, init, move |state, i| {
-        let started = epoch.elapsed();
-        let value = task(state, i);
-        TimedItem {
-            value,
-            started,
-            finished: epoch.elapsed(),
-        }
-    })
-}
-
 /// Runs `task(state, i)` for every `i in 0..n` on up to `threads` threads
 /// (`0` = inline until the work pays for threads, see
 /// [`fan_out_contained`]) and returns the results in index order.
@@ -468,32 +424,6 @@ mod tests {
         );
         assert_eq!(report.panics.len(), 1);
         assert_eq!(report.slots, vec![Some(0), Some(1), None, None]);
-    }
-
-    #[test]
-    fn timed_fan_out_records_monotonic_offsets_and_contains_panics() {
-        let epoch = std::time::Instant::now();
-        let report = fan_out_contained_timed(
-            12,
-            3,
-            epoch,
-            || (),
-            |_, i| {
-                assert!(i != 5, "injected: timed casualty");
-                i + 100
-            },
-        );
-        assert_eq!(report.panics.len(), 1);
-        for (i, slot) in report.slots.iter().enumerate() {
-            match slot {
-                Some(item) => {
-                    assert_eq!(item.value, i + 100);
-                    assert!(item.finished >= item.started, "slot {i} went backwards");
-                }
-                // Worker 1 owns items 4..8 and dies at 5.
-                None => assert!((5..8).contains(&i), "unexpected lost slot {i}"),
-            }
-        }
     }
 
     #[test]

@@ -76,7 +76,7 @@ pub mod prepared;
 mod rejection;
 pub mod walk;
 
-pub use batch::{FanOutReport, TimedItem, WorkerPanic};
+pub use batch::{FanOutReport, WorkerPanic};
 pub use budget::{BudgetMeter, BudgetTrip, CancelToken, QueryBudget};
 pub use compose::difference::DifferenceGenerator;
 pub use compose::fiber_weight::{

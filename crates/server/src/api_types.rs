@@ -10,11 +10,10 @@
 //!
 //! Requests carry an optional `"seed"` (decimal string or integer) plus an
 //! optional `"stream"` index. The handler funds its generator from
-//! `SeedSequence::new(seed).item_stream(stream)` — exactly the convention
-//! the in-process load harness uses for request `i` — so an HTTP client
-//! that sends `seed = spec.seed, stream = i` reproduces the in-process
-//! harness byte-for-byte, and two identical seeded requests always return
-//! identical bodies.
+//! `SeedSequence::new(seed).item_stream(stream)`, so a seeded single-item
+//! request answers exactly what `SpatialDatabase::query_with_rng` answers in
+//! process on that stream's RNG (`tests/server.rs` pins this bit for bit),
+//! and two identical seeded requests always return identical bodies.
 
 use cdb_constraint::{parse_formula, Formula, GeneralizedRelation};
 use cdb_core::QueryOutcome;
@@ -374,8 +373,8 @@ pub fn volume_response(outcome: &QueryOutcome) -> Json {
     ])
 }
 
-/// FNV-1a over the relation's debug form: the digest the load harness and
-/// the determinism suites use to fingerprint reconstruction results.
+/// FNV-1a over the relation's debug form: the digest `tests/server.rs`
+/// compares with an in-process reconstruction's.
 pub fn relation_digest(relation: &GeneralizedRelation) -> u64 {
     const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;

@@ -9,9 +9,9 @@
 //! `SeedSequence::new(seed).item_stream(stream)`; unseeded requests draw
 //! from process entropy (time-mixed counter). Single-item requests
 //! (sample, volume with `repeats = 1`, reconstruct) consume the stream's
-//! RNG directly via [`SpatialDatabase::query_with_rng`] — the *same* draw
-//! discipline as the in-process load harness, which is what makes HTTP
-//! and in-process transports bitwise comparable. Multi-item requests hand
+//! RNG directly via [`SpatialDatabase::query_with_rng`], so an in-process
+//! call on the same stream answers the same bits (`tests/server.rs` and
+//! perfbench's `http_warm` compare the two). Multi-item requests hand
 //! the stream to the seeded batch path, whose per-item streams make
 //! results independent of the worker-thread count.
 
@@ -234,8 +234,8 @@ fn volume(state: &AppState, request: &Request) -> Result<Json, AppError> {
     let budget = resolve_budget(state, &req.relation, &body)?;
     let db = read_db(state);
     let outcome = if req.repeats == 1 {
-        // Single estimate: consume the stream RNG directly — the same
-        // draw discipline as the in-process load harness.
+        // Single estimate: consume the stream RNG directly, as an
+        // in-process `query_with_rng` on the same stream does.
         let spec = QuerySpec::volume(req.relation.as_str(), 1).with_budget(&budget);
         let mut rng = request_stream(&req.seed).rng();
         db.query_with_rng(&spec, &mut rng)?

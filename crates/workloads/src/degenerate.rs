@@ -5,8 +5,8 @@
 //! with the aspect parameter, so without the well-rounding affine transform
 //! the telescoping volume chain gets long and the walk mixes slowly. Every
 //! body here keeps an exact closed-form volume, which is what lets the
-//! statistical suite gate the rounding path against ground truth and the load
-//! harness include degenerate traffic without losing its oracle.
+//! statistical suite gate the rounding path against ground truth and lets
+//! `perf_report`'s `degenerate_*` claim rows record an estimate's error.
 //!
 //! Aspect parameters are powers-of-two-friendly integers so that the closed
 //! forms (`aspect⁻⁽ᵈ⁻¹⁾`, `1/(squeeze · d!)`) stay exactly representable.
@@ -68,8 +68,8 @@ pub fn thin_simplex(dim: usize, squeeze: u32) -> DegenerateBody {
 }
 
 /// Every degenerate family in dimension `dim` at the given aspect/squeeze
-/// factor — the suite the statistical gates and the load harness's
-/// `degenerate` mix iterate over.
+/// factor — the suite the statistical gates and `perf_report`'s
+/// `degenerate_*` rows iterate over.
 pub fn suite(dim: usize, aspect: u32) -> Vec<DegenerateBody> {
     vec![needle_box(dim, aspect), thin_simplex(dim, aspect)]
 }

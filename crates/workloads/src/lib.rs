@@ -31,7 +31,7 @@
 //! * [`sessions`] — polytope soups whose named relations share structurally
 //!   identical bodies (stressing the prepared-relation store under
 //!   contention) plus the [`sessions::SessionMix`] read/volume/reconstruction
-//!   blends consumed by the `cdb-bench` load harness.
+//!   blend that perfbench's workloads draw their op mix from.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -10,10 +10,11 @@
 //!   sees many names collapsing onto few canonical keys (maximum contention
 //!   on shared `PreparedStore` entries);
 //! * [`SessionMix`] describes the read/volume/reconstruction blend of a
-//!   session, consumed by `cdb-bench`'s load harness to shape traffic.
+//!   session, which perfbench's workloads turn into exact per-class op
+//!   counts.
 //!
 //! Every pool body is a union of two *disjoint* axis boxes, so exact volumes
-//! come for free and load tests can sanity-check estimates mid-run.
+//! come for free and a benchmark can check every estimate against them.
 
 use rand::Rng;
 
@@ -125,36 +126,6 @@ impl SessionMix {
             reconstruction: 0.10,
         }
     }
-
-    /// An analytics-dominated session: volume estimates outweigh reads.
-    pub fn analytic() -> Self {
-        SessionMix {
-            sample: 0.30,
-            volume: 0.60,
-            reconstruction: 0.10,
-        }
-    }
-
-    /// Sampling and volumes only — the blend for families whose relations
-    /// are not reconstruction targets (e.g. high-dimensional degenerate
-    /// bodies).
-    pub fn no_reconstruction(sample: f64, volume: f64) -> Self {
-        SessionMix {
-            sample,
-            volume,
-            reconstruction: 0.0,
-        }
-    }
-
-    /// Total weight; panics if no class has positive weight.
-    pub fn total(&self) -> f64 {
-        let t = self.sample + self.volume + self.reconstruction;
-        assert!(
-            t > 0.0 && self.sample >= 0.0 && self.volume >= 0.0 && self.reconstruction >= 0.0,
-            "a session mix needs nonnegative weights and at least one positive class"
-        );
-        t
-    }
 }
 
 #[cfg(test)]
@@ -188,17 +159,5 @@ mod tests {
                 soup.exact_volumes[i]
             );
         }
-    }
-
-    #[test]
-    fn session_mix_totals_and_rejects_empty() {
-        assert!((SessionMix::read_heavy().total() - 1.0).abs() < 1e-12);
-        assert_eq!(SessionMix::no_reconstruction(0.7, 0.3).reconstruction, 0.0);
-        let bad = SessionMix {
-            sample: 0.0,
-            volume: 0.0,
-            reconstruction: 0.0,
-        };
-        assert!(std::panic::catch_unwind(move || bad.total()).is_err());
     }
 }

@@ -693,17 +693,27 @@ fn distinct_seeds_give_distinct_batches() {
     assert_ne!(a, b, "different seeds must give different batches");
 }
 
-/// The load harness's query *results* (payloads and typed errors; timings
-/// excluded) are bitwise identical across client-thread counts: request `i`
-/// draws from `item_stream(i)` regardless of which worker serves it, and
-/// the prepared store is bitwise invisible under contention.
+/// A seeded mixed load — one-point samples, one-repeat volumes and
+/// `exists x1. R(x0, x1)` reconstructions over a polytope soup — answers
+/// bitwise-identical results under the batch fan-out at every thread count:
+/// item `i` draws from `item_stream(i)` regardless of which worker serves
+/// it, and the prepared store is bitwise invisible under contention. Every
+/// sample lies inside its relation and every volume is finite and positive.
 #[test]
 fn load_harness_results_are_thread_count_invariant() {
-    use cdb_bench::load::{run, schedule, LoadSpec};
-    use cdb_core::SpatialDatabase;
+    use cdb_constraint::parse_formula;
+    use cdb_core::{QuerySpec, SpatialDatabase};
+    use cdb_sampler::batch::fan_out_contained;
     use cdb_workloads::sessions::{polytope_soup, SessionMix, SoupSpec};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
+
+    #[derive(Debug, PartialEq)]
+    enum Answer {
+        Point(Vec<u64>),
+        Volume(u64),
+        Relation(String),
+    }
 
     let soup = polytope_soup(&SoupSpec::default(), &mut StdRng::seed_from_u64(55));
     let mut db = SpatialDatabase::with_params(params());
@@ -711,21 +721,67 @@ fn load_harness_results_are_thread_count_invariant() {
         db.insert(name.clone(), relation.clone());
     }
     let names = soup.names();
-    // A high arrival rate keeps the run short: invariance does not depend
-    // on the pacing, only the results do not.
-    let spec = LoadSpec::new(96, 8000.0, 0xBEA7, SessionMix::read_heavy());
-    let sched = schedule(&spec, &names);
-    let baseline = run(&db, &spec.clone().with_threads(THREAD_COUNTS[0]), &sched).result_bits();
-    assert_eq!(baseline.len(), 96);
+    let seq = SeedSequence::new(0xBEA7);
+    // The plan: a read-heavy class blend over uniformly picked relations,
+    // drawn from a setup stream that no item stream can collide with.
+    let mix = SessionMix::read_heavy();
+    let mut picks = seq.setup_stream().child(1).rng();
+    let plan: Vec<QuerySpec> = (0..96)
+        .map(|_| {
+            let w: f64 = picks.gen_range(0.0..mix.sample + mix.volume + mix.reconstruction);
+            let name = &names[picks.gen_range(0..names.len())];
+            if w < mix.sample {
+                QuerySpec::sample(name, 1)
+            } else if w < mix.sample + mix.volume {
+                QuerySpec::volume(name, 1)
+            } else {
+                let query = parse_formula(&format!("exists x1. {name}(x0, x1)"), 2)
+                    .expect("the projection query parses");
+                QuerySpec::reconstruct(name, query, 1)
+            }
+        })
+        .collect();
+    let run = |threads: usize| {
+        let report = fan_out_contained(
+            plan.len(),
+            threads,
+            || (),
+            |_, i| {
+                let outcome = db
+                    .query_with_rng(&plan[i], &mut seq.item_stream(i).rng())
+                    .unwrap_or_else(|e| panic!("item {i} failed: {e}"));
+                if let Some(p) = outcome.point() {
+                    let relation = db.relation(&plan[i].relation).unwrap();
+                    assert!(relation.contains_f64(p), "sample {i} outside its relation");
+                    Answer::Point(p.iter().map(|x| x.to_bits()).collect())
+                } else if let Some(v) = outcome.volume() {
+                    assert!(v.is_finite() && v > 0.0, "volume {i} = {v}");
+                    Answer::Volume(v.to_bits())
+                } else {
+                    let relation = outcome.relation().expect("a reconstruction");
+                    Answer::Relation(format!("{relation:?}"))
+                }
+            },
+        );
+        assert!(report.panics.is_empty(), "{:?}", report.panics);
+        report
+            .slots
+            .into_iter()
+            .map(|slot| slot.expect("no item may be lost"))
+            .collect::<Vec<_>>()
+    };
+    let baseline = run(THREAD_COUNTS[0]);
     assert!(
-        baseline.iter().all(|b| b.is_some()),
-        "no request may be lost"
+        baseline.iter().any(|a| matches!(a, Answer::Point(_)))
+            && baseline.iter().any(|a| matches!(a, Answer::Volume(_)))
+            && baseline.iter().any(|a| matches!(a, Answer::Relation(_))),
+        "the plan must hold every query class"
     );
     for &threads in &THREAD_COUNTS[1..] {
-        let bits = run(&db, &spec.clone().with_threads(threads), &sched).result_bits();
         assert_eq!(
-            baseline, bits,
-            "load results differ at {threads} client threads"
+            baseline,
+            run(threads),
+            "load results differ at {threads} threads"
         );
     }
 }
@@ -900,46 +956,5 @@ fn unified_query_matches_legacy_entry_points_bitwise() {
                 }
             }
         }
-    }
-}
-
-/// The arrival schedule is bitwise stable for a fixed seed: rebuilding it
-/// reproduces it exactly, and the leading arrival offsets match pinned bit
-/// patterns (so any change to the interarrival derivation is a visible,
-/// deliberate break).
-#[test]
-fn load_schedule_is_bitwise_stable_for_a_fixed_seed() {
-    use cdb_bench::load::{schedule, LoadSpec, QueryClass};
-    use cdb_workloads::sessions::SessionMix;
-
-    let spec = LoadSpec::new(8, 1000.0, 0x10AD, SessionMix::read_heavy());
-    let names = vec!["A".to_string(), "B".to_string()];
-    let s = schedule(&spec, &names);
-    assert_eq!(s, schedule(&spec, &names));
-
-    // Pinned leading requests (seed 0x10AD, rate 1000/s, read-heavy mix over
-    // relations {A, B}): exponential-gap arrivals down to the bit, plus the
-    // class/relation picks.
-    let pinned: [(u64, QueryClass, &str); 4] = [
-        (0x3f1f8892500c1bcb, QueryClass::Sample, "B"),
-        (0x3f498667706d943a, QueryClass::Sample, "B"),
-        (0x3f66ad7e893b565e, QueryClass::Volume, "B"),
-        (0x3f6bc469bbdad06c, QueryClass::Volume, "A"),
-    ];
-    for (i, (bits, class, relation)) in pinned.into_iter().enumerate() {
-        let req = &s.requests[i];
-        assert_eq!(
-            req.arrival_secs.to_bits(),
-            bits,
-            "request {i}: arrival bits drifted (got 0x{:016x})",
-            req.arrival_secs.to_bits()
-        );
-        assert_eq!(req.class, class, "request {i}");
-        assert_eq!(req.relation, relation, "request {i}");
-    }
-    // The schedule is open-loop: arrivals are nondecreasing offsets fixed
-    // before any query runs.
-    for pair in s.requests.windows(2) {
-        assert!(pair[1].arrival_secs >= pair[0].arrival_secs);
     }
 }

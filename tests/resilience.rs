@@ -12,16 +12,14 @@
 //! Set `CDB_RESILIENCE_QUICK=1` (the `ci.sh --quick` default) to run a
 //! reduced plan: smaller batches, fewer thread counts.
 
-use cdb_bench::load::{class_stats, render_report, run, schedule, LoadError, LoadSpec};
-use cdb_bench::report;
 use cdb_constraint::GeneralizedRelation;
 use cdb_core::{QueryPhase, QuerySpec, SpatialDatabase, SpatialDbError};
+use cdb_sampler::batch::fan_out_contained;
 use cdb_sampler::{
     BudgetTrip, CancelToken, DifferenceGenerator, FaultPlan, GeneratorParams,
     IntersectionGenerator, PreparedStore, QueryBudget, RelationGenerator, SeedSequence,
 };
 use cdb_workloads::pathological;
-use cdb_workloads::sessions::SessionMix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -370,10 +368,10 @@ fn partial_volume_batch_returns_completed_estimates() {
 }
 
 // ---------------------------------------------------------------------------
-// The load harness under faults
+// Mixed query loads over the batch fan-out, under faults
 // ---------------------------------------------------------------------------
 
-fn load_db() -> (SpatialDatabase, Vec<String>) {
+fn load_db() -> SpatialDatabase {
     let mut db = SpatialDatabase::with_params(params());
     db.insert(
         "Fast",
@@ -383,118 +381,133 @@ fn load_db() -> (SpatialDatabase, Vec<String>) {
         "Starved",
         GeneralizedRelation::from_box_f64(&[2.0, 0.0], &[3.0, 1.0]),
     );
-    (db, vec!["Fast".into(), "Starved".into()])
+    db
 }
 
-/// A worker panic injected mid-load-run is contained by the harness: the
-/// dead worker's remaining requests are reported as *lost* (never silently
-/// dropped, never double-counted), every survivor's latency is recorded,
-/// and the emitted report stays well-formed.
+/// The target of load item `i`: `Fast` and `Starved` alternate.
+fn load_target(i: usize) -> &'static str {
+    ["Fast", "Starved"][i % 2]
+}
+
+/// Runs load item `i` on `db` from `seed`'s item stream `i`, under the
+/// budget `budget` gives its target: every third item a one-repeat volume
+/// estimate, the others a one-point sample. The result is reduced to the
+/// bits of its payload.
+fn load_item(
+    db: &SpatialDatabase,
+    seed: u64,
+    i: usize,
+    budget: impl Fn(&str) -> QueryBudget,
+) -> Result<Vec<u64>, SpatialDbError> {
+    let name = load_target(i);
+    let budget = budget(name);
+    let mut rng = SeedSequence::new(seed).item_stream(i).rng();
+    if i.is_multiple_of(3) {
+        let spec = QuerySpec::volume(name, 1).with_budget(&budget);
+        let outcome = db.query_with_rng(&spec, &mut rng)?;
+        let volume = outcome.volume().expect("an Ok volume holds an estimate");
+        Ok(vec![volume.to_bits()])
+    } else {
+        let spec = QuerySpec::sample(name, 1).with_budget(&budget);
+        let outcome = db.query_with_rng(&spec, &mut rng)?;
+        let point = outcome.point().expect("an Ok sample holds a point");
+        Ok(point.iter().map(|x| x.to_bits()).collect())
+    }
+}
+
+/// A worker panic injected mid-load is contained by the fan-out: the dead
+/// worker's remaining items are lost (never silently dropped, never
+/// double-counted), every other item resolves, and the same database
+/// replays the load clean once the plan is disarmed.
 #[test]
 fn load_run_contains_an_injected_worker_panic() {
-    let (db, names) = load_db();
-    let db = db.with_fault_plan(FaultPlan::new().with_worker_panic_at(10));
+    let db = load_db().with_fault_plan(FaultPlan::new().with_worker_panic_at(10));
     let n = 32;
-    // 4 client threads over 32 requests → worker 1 owns items 8..16. The
-    // panic fires at item 10, so 8 and 9 complete and 10..16 are lost.
-    let spec =
-        LoadSpec::new(n, 8000.0, 0xFA17, SessionMix::no_reconstruction(0.7, 0.3)).with_threads(4);
-    let sched = schedule(&spec, &names);
-    let rep = run(&db, &spec, &sched);
-    assert_eq!(rep.panics.len(), 1, "exactly one contained panic");
-    assert_eq!(rep.panics[0].worker, 1);
-    assert!(rep.panics[0].payload.starts_with("injected"));
-    assert_eq!(rep.lost(), 6);
-    for (i, slot) in rep.outcomes.iter().enumerate() {
+    let unlimited = |_: &str| QueryBudget::unlimited();
+    // 4 threads over 32 items → worker 1 owns items 8..16. The panic fires
+    // at item 10, so 8 and 9 complete and 10..16 are lost.
+    let run = |db: &SpatialDatabase| {
+        fan_out_contained(
+            n,
+            4,
+            || (),
+            |_, i| {
+                db.fault_plan().inject_worker_panic(i);
+                load_item(db, 0xFA17, i, unlimited)
+            },
+        )
+    };
+    let faulted = run(&db);
+    assert_eq!(faulted.panics.len(), 1, "exactly one contained panic");
+    assert_eq!(faulted.panics[0].worker, 1);
+    assert!(faulted.panics[0].payload.starts_with("injected"));
+    assert_eq!(faulted.completed(), n - 6);
+    for (i, slot) in faulted.slots.iter().enumerate() {
         assert_eq!(
             slot.is_none(),
             (10..16).contains(&i),
-            "request {i}: wrong lost/survivor state"
+            "item {i}: wrong lost/survivor state"
         );
-    }
-
-    // Per-class accounting is exact: scheduled == completed + lost, so no
-    // request is dropped or double-counted, and survivors' percentiles are
-    // computable.
-    let stats = class_stats(&sched, &rep);
-    let counts = sched.class_counts();
-    assert_eq!(stats.iter().map(|s| s.lost).sum::<usize>(), 6);
-    for s in &stats {
-        assert_eq!(s.scheduled, s.completed + s.lost);
-        assert!(s.p50_ms <= s.p95_ms && s.p95_ms <= s.p99_ms && s.p99_ms <= s.max_ms);
-    }
-    assert_eq!(
-        stats.iter().map(|s| s.scheduled).sum::<usize>(),
-        counts.iter().sum::<usize>()
-    );
-
-    // The report still renders and parses with the lost count visible.
-    let rows: Vec<(String, _)> = stats
-        .into_iter()
-        .map(|s| (format!("load_faulted.{}", s.class.label()), s))
-        .collect();
-    let parsed = report::parse_report(&render_report(&rows, true)).unwrap();
-    assert_eq!(parsed.iter().filter_map(|r| r.lost).sum::<f64>(), 6.0);
-
-    // Disarmed, the same schedule replays clean on the shared db.
-    let db = db.with_fault_plan(FaultPlan::new());
-    let clean = run(&db, &spec, &sched);
-    assert!(clean.panics.is_empty());
-    assert_eq!(clean.lost(), 0);
-}
-
-/// A starved per-request budget on one relation degrades that relation's
-/// requests into typed `BudgetExhausted` errors mid-run while the other
-/// relation keeps serving; every request still resolves with a recorded
-/// latency and exact per-class error accounting.
-#[test]
-fn load_run_survives_a_starved_per_relation_budget() {
-    let (db, names) = load_db();
-    let spec = LoadSpec::new(40, 8000.0, 0xB0D6, SessionMix::no_reconstruction(0.6, 0.4))
-        .with_threads(2)
-        .with_budget(QueryBudget::unlimited().with_max_steps(50_000_000))
-        .with_budget_override("Starved", QueryBudget::unlimited().with_max_steps(3));
-    let sched = schedule(&spec, &names);
-    let rep = run(&db, &spec, &sched);
-    assert!(rep.panics.is_empty());
-    assert_eq!(rep.lost(), 0);
-
-    let mut starved = 0usize;
-    for (slot, req) in rep.outcomes.iter().zip(&sched.requests) {
-        let outcome = slot.as_ref().expect("budget trips lose no requests");
-        match (&outcome.result, req.relation.as_str()) {
-            (Err(LoadError::Budget(BudgetTrip::Steps)), "Starved") => starved += 1,
-            (Ok(_), "Fast") => {}
-            (result, relation) => panic!("{relation} resolved to {result:?}"),
+        if let Some(result) = slot {
+            assert!(result.is_ok(), "item {i} resolved to {result:?}");
         }
     }
-    assert!(starved > 0, "the schedule must hit the starved relation");
 
-    // Error accounting matches exactly and the report stays well-formed.
-    let stats = class_stats(&sched, &rep);
-    assert_eq!(stats.iter().map(|s| s.errors).sum::<usize>(), starved);
-    for s in &stats {
-        assert_eq!(s.scheduled, s.completed);
-        assert_eq!(s.lost, 0);
+    // Disarmed, the same load replays clean on the shared db, and every
+    // survivor of the faulted run answered the same bits.
+    let db = db.with_fault_plan(FaultPlan::new());
+    let clean = run(&db);
+    assert!(clean.panics.is_empty());
+    assert_eq!(clean.completed(), n);
+    for (i, (faulted, clean)) in faulted.slots.iter().zip(&clean.slots).enumerate() {
+        if let (Some(Ok(faulted)), Some(Ok(clean))) = (faulted, clean) {
+            assert_eq!(faulted, clean, "item {i} drifted across the panic");
+        }
     }
-    let rows: Vec<(String, _)> = stats
-        .into_iter()
-        .map(|s| (format!("load_starved.{}", s.class.label()), s))
-        .collect();
-    let parsed = report::parse_report(&render_report(&rows, true)).unwrap();
-    assert_eq!(
-        parsed.iter().filter_map(|r| r.errors).sum::<f64>(),
-        starved as f64
-    );
+}
 
-    // Lifting the override restores full service on the shared database.
-    let healed = LoadSpec {
-        budget_overrides: Default::default(),
-        ..spec
+/// A starved per-relation budget degrades that relation's items into typed
+/// `BudgetExhausted { cause: Steps }` errors mid-load while the other
+/// relation keeps serving; every item still resolves, and lifting the
+/// budget restores full service on the shared database.
+#[test]
+fn load_run_survives_a_starved_per_relation_budget() {
+    let db = load_db();
+    let n = 40;
+    let starved = |name: &str| {
+        if name == "Starved" {
+            QueryBudget::unlimited().with_max_steps(3)
+        } else {
+            QueryBudget::unlimited().with_max_steps(50_000_000)
+        }
     };
-    let clean = run(&db, &healed, &sched);
-    assert!(clean
-        .outcomes
+    let rep = fan_out_contained(n, 2, || (), |_, i| load_item(&db, 0xB0D6, i, starved));
+    assert!(rep.panics.is_empty());
+    assert_eq!(rep.completed(), n, "budget trips lose no items");
+    for (i, slot) in rep.slots.iter().enumerate() {
+        match (slot.as_ref().unwrap(), load_target(i)) {
+            (
+                Err(SpatialDbError::BudgetExhausted {
+                    cause: BudgetTrip::Steps,
+                    ..
+                }),
+                "Starved",
+            )
+            | (Ok(_), "Fast") => {}
+            (result, relation) => panic!("item {i} on {relation} resolved to {result:?}"),
+        }
+    }
+
+    // Lifting the starved budget restores full service.
+    let healed = fan_out_contained(
+        n,
+        2,
+        || (),
+        |_, i| load_item(&db, 0xB0D6, i, |_| QueryBudget::unlimited()),
+    );
+    assert!(healed.panics.is_empty());
+    assert!(healed
+        .slots
         .iter()
-        .all(|s| s.as_ref().is_some_and(|o| o.result.is_ok())));
+        .all(|s| s.as_ref().is_some_and(Result::is_ok)));
 }

@@ -10,9 +10,10 @@
 use std::collections::BTreeSet;
 use std::time::Duration;
 
-use cdb_constraint::{Atom, GeneralizedRelation, GeneralizedTuple};
-use cdb_core::SpatialDatabase;
-use cdb_sampler::{FaultPlan, GeneratorParams};
+use cdb_constraint::{parse_formula, Atom, GeneralizedRelation, GeneralizedTuple};
+use cdb_core::{QuerySpec, SpatialDatabase};
+use cdb_sampler::{FaultPlan, GeneratorParams, SeedSequence};
+use cdb_server::api_types::relation_digest;
 use cdb_server::client::Client;
 use cdb_server::json::{parse, Json, DEFAULT_MAX_DEPTH};
 use cdb_server::{BudgetSpec, Server, ServerConfig};
@@ -21,8 +22,8 @@ fn quick() -> bool {
     std::env::var("CDB_SERVER_QUICK").is_ok_and(|v| v != "0")
 }
 
-/// A database with the shapes every test needs: a box, a union, and a
-/// structurally non-observable half-space.
+/// A database with the shapes every test needs: a box, a disjoint and an
+/// overlapping union, and a structurally non-observable half-space.
 fn test_db() -> SpatialDatabase {
     let mut db = SpatialDatabase::with_params(GeneratorParams::fast());
     db.insert(
@@ -33,6 +34,13 @@ fn test_db() -> SpatialDatabase {
         "U",
         GeneralizedRelation::from_box_f64(&[0.0], &[1.0])
             .union(&GeneralizedRelation::from_box_f64(&[3.0], &[4.0])),
+    );
+    // Overlapping boxes: the union's volume estimate is a Karp–Luby count,
+    // so unlike a box's or a disjoint union's it depends on the draw stream.
+    db.insert(
+        "O",
+        GeneralizedRelation::from_box_f64(&[0.0, 0.0], &[2.0, 1.0])
+            .union(&GeneralizedRelation::from_box_f64(&[1.0, 0.0], &[3.0, 1.0])),
     );
     // `x0 ≤ 0`: unbounded, hence not observable (Section 4 conditions).
     db.insert(
@@ -207,12 +215,14 @@ fn every_endpoint_answers_end_to_end() {
 }
 
 /// Seeded requests are byte-for-byte reproducible — across requests on one
-/// connection, across fresh connections, and on every endpoint. Distinct
-/// streams under the same seed give distinct answers.
+/// connection, across fresh connections, and on every endpoint — and a
+/// seeded sample, single-repeat volume or reconstruction answers the bits
+/// the in-process engine answers on the same item stream. Distinct streams
+/// under the same seed give distinct answers.
 #[test]
 fn seeded_responses_are_byte_reproducible() {
     let server = start_server();
-    let requests: [(&str, &str); 4] = [
+    let requests: [(&str, &str); 5] = [
         ("/v1/sample", r#"{"relation":"R","seed":99,"stream":4}"#),
         ("/v1/sample-batch", r#"{"relation":"R","n":6,"seed":99}"#),
         ("/v1/volume", r#"{"relation":"R","seed":99,"repeats":3}"#),
@@ -220,6 +230,7 @@ fn seeded_responses_are_byte_reproducible() {
             "/v1/reconstruct",
             r#"{"query":"exists x1. R(x0, x1)","arity":2,"output_arity":1,"seed":99}"#,
         ),
+        ("/v1/volume", r#"{"relation":"O","seed":99,"stream":7}"#),
     ];
     let mut first = Vec::new();
     {
@@ -235,6 +246,45 @@ fn seeded_responses_are_byte_reproducible() {
             assert_eq!(response.body, first[i], "{path} drifted on one connection");
         }
     }
+    // A seeded single-item answer is the in-process engine's answer on the
+    // same item stream, bit for bit.
+    let db = test_db();
+    let answer = |i: usize| parse(&first[i], DEFAULT_MAX_DEPTH).unwrap();
+    let local = |spec: &QuerySpec, stream: usize| {
+        let mut rng = SeedSequence::new(99).item_stream(stream).rng();
+        db.query_with_rng(spec, &mut rng).unwrap()
+    };
+    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let wire_point: Vec<f64> = answer(0)
+        .get("point")
+        .and_then(Json::as_array)
+        .unwrap()
+        .iter()
+        .map(|x| x.as_f64().unwrap())
+        .collect();
+    let local_point = local(&QuerySpec::sample("R", 1), 4);
+    assert_eq!(
+        bits(&wire_point),
+        bits(local_point.point().unwrap()),
+        "/v1/sample"
+    );
+    let wire_volume = answer(4).get("volume").and_then(Json::as_f64).unwrap();
+    let local_volume = local(&QuerySpec::volume("O", 1), 7).volume().unwrap();
+    assert_eq!(wire_volume.to_bits(), local_volume.to_bits(), "/v1/volume");
+    let query = parse_formula("exists x1. R(x0, x1)", 2).unwrap();
+    let local_relation = local(&QuerySpec::reconstruct("query", query, 1), 0);
+    let local_relation = local_relation.relation().unwrap();
+    let wire = answer(3);
+    assert_eq!(
+        wire.get("tuples").and_then(Json::as_usize),
+        Some(local_relation.tuples().len()),
+        "/v1/reconstruct tuples"
+    );
+    assert_eq!(
+        wire.get("digest").and_then(Json::as_u64),
+        Some(relation_digest(local_relation)),
+        "/v1/reconstruct digest"
+    );
     // Fresh connection → still identical bytes.
     let mut c2 = client(&server);
     for (i, (path, payload)) in requests.iter().enumerate() {
