@@ -1,35 +1,51 @@
-//! End-to-end tests of the traffic-shaped load harness (`cdb_bench::load`).
+//! End-to-end tests of a mixed query load over a polytope soup.
 //!
-//! A quick mixed-session run must complete with every request *resolved* —
-//! a payload or a typed error, never a silent drop — with per-class request
-//! counts exactly matching the schedule, and the emitted
-//! `cdb-load-report/v1` document must parse back with every expected row.
-//!
-//! Sizes honor `CDB_LOAD_QUICK=1` / `CDB_LOAD_REQUESTS=<n>` (the `ci.sh`
-//! `--quick` path) but are modest even at the default.
+//! A seeded read-heavy plan of one-point samples, one-repeat volumes and
+//! `exists x1. R(x0, x1)` reconstructions runs over the contained batch
+//! fan-out. Every request must *resolve* — to a class-appropriate answer or
+//! a typed error, never a silent drop — and the same plan replayed against
+//! a loopback `cdb-server` must answer the same bits: both sides fund
+//! request `i` from `SeedSequence::new(seed).item_stream(i)`, which the
+//! HTTP side sends as `"seed"`/`"stream"`.
 
-use cdb_bench::load::{
-    class_stats, render_report, run, run_over, schedule, LoadSpec, Payload, QueryClass, Transport,
-};
-use cdb_bench::report;
-use cdb_core::SpatialDatabase;
-use cdb_sampler::{GeneratorParams, QueryBudget};
-use cdb_server::{Server, ServerConfig};
+use cdb_constraint::parse_formula;
+use cdb_core::{QuerySpec, SpatialDatabase, SpatialDbError};
+use cdb_sampler::batch::fan_out_contained;
+use cdb_sampler::{GeneratorParams, QueryBudget, SeedSequence};
+use cdb_server::api_types::relation_digest;
+use cdb_server::client::Client;
+use cdb_server::json::Json;
+use cdb_server::{AppError, Server, ServerConfig};
 use cdb_workloads::sessions::{polytope_soup, SessionMix, SoupSpec};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
-/// Request count for the mixed-session run: 150 by default, 60 under
-/// `CDB_LOAD_QUICK=1`, or an explicit `CDB_LOAD_REQUESTS`.
-fn requests() -> usize {
-    if let Ok(n) = std::env::var("CDB_LOAD_REQUESTS") {
-        return n.parse().expect("CDB_LOAD_REQUESTS must be a count");
-    }
-    if std::env::var("CDB_LOAD_QUICK").is_ok_and(|v| v == "1") {
-        60
-    } else {
-        150
-    }
+/// Request count of the mixed-session run.
+const REQUESTS: usize = 150;
+
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Class {
+    Sample,
+    Volume,
+    Reconstruction,
+}
+
+const CLASSES: [Class; 3] = [Class::Sample, Class::Volume, Class::Reconstruction];
+
+#[derive(Debug)]
+struct Request {
+    class: Class,
+    relation: String,
+}
+
+/// A resolved request: the answer's bits, or the typed error as the
+/// service reports it (status, code and budget cause).
+#[derive(Debug, PartialEq)]
+enum Answer {
+    Point(Vec<u64>),
+    Volume(u64),
+    Relation { tuples: usize, digest: u64 },
+    Error(u16, String, Option<String>),
 }
 
 fn soup_db() -> (SpatialDatabase, Vec<String>) {
@@ -42,183 +58,239 @@ fn soup_db() -> (SpatialDatabase, Vec<String>) {
     (db, names)
 }
 
+fn budget() -> QueryBudget {
+    QueryBudget::unlimited()
+        .with_max_steps(50_000_000)
+        .with_max_attempts(100_000)
+}
+
+/// `n` requests in the read-heavy class blend over uniformly picked
+/// relations, drawn from a setup stream no item stream can collide with.
+fn plan(seq: &SeedSequence, names: &[String], n: usize) -> Vec<Request> {
+    let mix = SessionMix::read_heavy();
+    let mut picks = seq.setup_stream().child(1).rng();
+    (0..n)
+        .map(|_| {
+            let w: f64 = picks.gen_range(0.0..mix.sample + mix.volume + mix.reconstruction);
+            let class = if w < mix.sample {
+                Class::Sample
+            } else if w < mix.sample + mix.volume {
+                Class::Volume
+            } else {
+                Class::Reconstruction
+            };
+            let relation = names[picks.gen_range(0..names.len())].clone();
+            Request { class, relation }
+        })
+        .collect()
+}
+
+fn reconstruction_text(relation: &str) -> String {
+    format!("exists x1. {relation}(x0, x1)")
+}
+
+fn class_counts(requests: &[Request]) -> [usize; 3] {
+    let mut counts = [0; 3];
+    for req in requests {
+        counts[CLASSES.iter().position(|c| *c == req.class).unwrap()] += 1;
+    }
+    counts
+}
+
+/// Answers request `i` in-process on `item_stream(i)`.
+fn in_process(db: &SpatialDatabase, seq: &SeedSequence, req: &Request, i: usize) -> Answer {
+    let spec = match req.class {
+        Class::Sample => QuerySpec::sample(&req.relation, 1).with_budget(&budget()),
+        Class::Volume => QuerySpec::volume(&req.relation, 1).with_budget(&budget()),
+        Class::Reconstruction => {
+            let query = parse_formula(&reconstruction_text(&req.relation), 2)
+                .expect("the projection query parses");
+            QuerySpec::reconstruct(&req.relation, query, 1)
+        }
+    };
+    match db.query_with_rng(&spec, &mut seq.item_stream(i).rng()) {
+        Ok(outcome) => match req.class {
+            Class::Sample => {
+                let p = outcome.point().expect("a sample answers a point");
+                Answer::Point(p.iter().map(|x| x.to_bits()).collect())
+            }
+            Class::Volume => Answer::Volume(outcome.volume().expect("an estimate").to_bits()),
+            Class::Reconstruction => {
+                let relation = outcome.relation().expect("a reconstruction");
+                Answer::Relation {
+                    tuples: relation.tuples().len(),
+                    digest: relation_digest(relation),
+                }
+            }
+        },
+        Err(e) => error_answer(e),
+    }
+}
+
+fn error_answer(e: SpatialDbError) -> Answer {
+    let e = AppError::from(e);
+    Answer::Error(e.status, e.code.to_string(), e.cause.map(str::to_string))
+}
+
+/// Answers request `i` over HTTP with `"seed"`/`"stream"` = `(seed, i)`.
+fn over_http(client: &mut Client, seed: u64, req: &Request, i: usize) -> Answer {
+    let mut fields = vec![
+        ("seed".to_string(), Json::u64_str(seed)),
+        ("stream".to_string(), Json::count(i)),
+    ];
+    let budget = Json::Object(vec![
+        ("max_steps".to_string(), Json::u64_str(50_000_000)),
+        ("max_attempts".to_string(), Json::u64_str(100_000)),
+    ]);
+    let path = match req.class {
+        Class::Sample | Class::Volume => {
+            fields.push(("relation".to_string(), Json::str(req.relation.clone())));
+            fields.push(("budget".to_string(), budget));
+            if req.class == Class::Sample {
+                "/v1/sample"
+            } else {
+                "/v1/volume"
+            }
+        }
+        Class::Reconstruction => {
+            fields.push((
+                "query".to_string(),
+                Json::str(reconstruction_text(&req.relation)),
+            ));
+            fields.push(("arity".to_string(), Json::count(2)));
+            fields.push(("output_arity".to_string(), Json::count(1)));
+            "/v1/reconstruct"
+        }
+    };
+    let (status, response) = client
+        .request_json("POST", path, Some(&Json::Object(fields)))
+        .unwrap_or_else(|e| panic!("request {i}: transport failure {e:?}"));
+    if status != 200 {
+        let error = response.get("error").expect("an error envelope");
+        let text = |key: &str| error.get(key).and_then(Json::as_str).map(str::to_string);
+        return Answer::Error(status, text("code").unwrap_or_default(), text("cause"));
+    }
+    match req.class {
+        Class::Sample => Answer::Point(
+            response
+                .get("point")
+                .and_then(Json::as_array)
+                .expect("a sample response holds a point")
+                .iter()
+                .map(|x| x.as_f64().expect("a numeric coordinate").to_bits())
+                .collect(),
+        ),
+        Class::Volume => Answer::Volume(
+            response
+                .get("volume")
+                .and_then(Json::as_f64)
+                .expect("a volume response holds an estimate")
+                .to_bits(),
+        ),
+        Class::Reconstruction => Answer::Relation {
+            tuples: response
+                .get("tuples")
+                .and_then(Json::as_usize)
+                .expect("a tuple count"),
+            digest: response
+                .get("digest")
+                .and_then(Json::as_u64)
+                .expect("a digest"),
+        },
+    }
+}
+
 #[test]
 fn mixed_session_run_resolves_every_request() {
     let (db, names) = soup_db();
-    let spec = LoadSpec::new(requests(), 2000.0, 4242, SessionMix::read_heavy())
-        .with_threads(4)
-        .with_budget(
-            QueryBudget::unlimited()
-                .with_max_steps(50_000_000)
-                .with_max_attempts(100_000),
-        );
-    let sched = schedule(&spec, &names);
-    assert_eq!(sched.requests.len(), spec.requests);
-    let counts = sched.class_counts();
+    let seq = SeedSequence::new(4242);
+    let requests = plan(&seq, &names, REQUESTS);
+    let counts = class_counts(&requests);
     assert!(
         counts.iter().all(|&c| c > 0),
         "the read-heavy mix must schedule all three classes: {counts:?}"
     );
 
-    let report = run(&db, &spec, &sched);
-    assert_eq!(report.outcomes.len(), spec.requests);
-    assert!(report.panics.is_empty());
-    assert_eq!(report.lost(), 0);
+    let report = fan_out_contained(
+        requests.len(),
+        4,
+        || (),
+        |_, i| in_process(&db, &seq, &requests[i], i),
+    );
+    assert!(report.panics.is_empty(), "{:?}", report.panics);
+    assert_eq!(report.slots.len(), REQUESTS);
 
-    // Every request resolves to a class-appropriate payload or a typed
-    // error, and its latency was recorded.
+    // Every request resolves to a class-appropriate answer or a typed
+    // error.
     let mut resolved = [0usize; 3];
-    for (slot, req) in report.outcomes.iter().zip(&sched.requests) {
-        let outcome = slot.as_ref().expect("no request may be lost");
-        assert_eq!(outcome.class, req.class);
-        assert_eq!(outcome.relation, req.relation);
-        match (&outcome.result, req.class) {
-            (Ok(Payload::Point(p)), QueryClass::Sample) => {
+    for (slot, req) in report.slots.iter().zip(&requests) {
+        let answer = slot.as_ref().expect("no request may be lost");
+        match (answer, req.class) {
+            (Answer::Point(bits), Class::Sample) => {
+                let p: Vec<f64> = bits.iter().map(|b| f64::from_bits(*b)).collect();
                 assert_eq!(p.len(), 2);
-                let relation = &db.relation(&req.relation).unwrap();
-                assert!(relation.contains_f64(p), "sample outside {}", req.relation);
+                let relation = db.relation(&req.relation).unwrap();
+                assert!(relation.contains_f64(&p), "sample outside {}", req.relation);
             }
-            (Ok(Payload::Estimate(v)), QueryClass::Volume) => {
-                assert!(v.is_finite() && *v > 0.0);
+            (Answer::Volume(bits), Class::Volume) => {
+                let v = f64::from_bits(*bits);
+                assert!(v.is_finite() && v > 0.0, "volume of {} = {v}", req.relation);
             }
-            (Ok(Payload::Relation { .. }), QueryClass::Reconstruction) => {}
-            (Err(_), _) => {}
-            (payload, class) => panic!("class {class:?} resolved to {payload:?}"),
+            (Answer::Relation { .. }, Class::Reconstruction) => {}
+            (Answer::Error(..), _) => {}
+            (answer, class) => panic!("class {class:?} resolved to {answer:?}"),
         }
-        resolved[QueryClass::ALL
-            .iter()
-            .position(|c| *c == req.class)
-            .unwrap()] += 1;
+        resolved[CLASSES.iter().position(|c| *c == req.class).unwrap()] += 1;
     }
-    // Per-class request counts are exact: scheduled == resolved.
+    // Per-class request counts are exact: planned == resolved.
     assert_eq!(resolved, counts);
-
-    // The emitted report parses and contains every expected row with the
-    // latency percentile fields filled.
-    let stats = class_stats(&sched, &report);
-    assert_eq!(stats.len(), 3);
-    let rows: Vec<(String, _)> = stats
-        .into_iter()
-        .map(|s| (format!("load_sessions.{}", s.class.label()), s))
-        .collect();
-    let text = render_report(&rows, false);
-    let parsed = report::parse_report(&text).expect("rendered report must parse");
-    for class in ["sample", "volume", "reconstruction"] {
-        let row = report::find(&parsed, &format!("load_sessions.{class}"))
-            .unwrap_or_else(|| panic!("missing row for class {class}"));
-        for (metric, value) in [
-            ("requests", row.requests),
-            ("throughput_rps", row.throughput_rps),
-            ("p50_ms", row.p50_ms),
-            ("p95_ms", row.p95_ms),
-            ("p99_ms", row.p99_ms),
-            ("max_ms", row.max_ms),
-        ] {
-            let v = value.unwrap_or_else(|| panic!("{class}: missing {metric}"));
-            assert!(v.is_finite() && v >= 0.0, "{class}.{metric} = {v}");
-        }
-        // p50 ≤ p95 ≤ p99 ≤ max by construction.
-        assert!(row.p50_ms <= row.p95_ms && row.p95_ms <= row.p99_ms);
-        assert!(row.p99_ms <= row.max_ms);
-    }
 }
 
 #[test]
 fn http_transport_matches_in_process_bitwise() {
-    // The same spec + schedule replayed in-process and over a loopback
-    // `cdb-server` must resolve to bitwise-identical result fingerprints:
-    // both transports fund request `i` from
-    // `SeedSequence::new(spec.seed).item_stream(i)`, and only deterministic
-    // budget counters cross the HTTP wire (see `Transport`'s parity
-    // contract in `cdb_bench::load`).
     let (db, names) = soup_db();
     let (server_db, _) = soup_db();
-    let spec = LoadSpec::new(
-        (requests() / 2).max(30),
-        2000.0,
-        515,
-        SessionMix::read_heavy(),
-    )
-    .with_threads(3)
-    .with_budget(
-        QueryBudget::unlimited()
-            .with_max_steps(50_000_000)
-            .with_max_attempts(100_000),
+    let seed = 515;
+    let seq = SeedSequence::new(seed);
+    let requests = plan(&seq, &names, REQUESTS / 2);
+
+    let local = fan_out_contained(
+        requests.len(),
+        3,
+        || (),
+        |_, i| in_process(&db, &seq, &requests[i], i),
     );
-    let sched = schedule(&spec, &names);
-
-    let in_process = run(&db, &spec, &sched);
-    let server =
+    let mut server =
         Server::start_with_db(ServerConfig::default(), server_db).expect("loopback server starts");
-    let http = run_over(&Transport::Http(server.addr()), &spec, &sched);
+    let addr = server.addr();
+    let wire = fan_out_contained(
+        requests.len(),
+        3,
+        move || Client::new(addr),
+        |client, i| over_http(client, seed, &requests[i], i),
+    );
+    server.shutdown();
 
-    for rep in [&in_process, &http] {
-        assert!(rep.panics.is_empty());
-        assert_eq!(rep.lost(), 0);
+    let mut answers = Vec::new();
+    for report in [local, wire] {
+        assert!(report.panics.is_empty(), "{:?}", report.panics);
+        let slots: Vec<Answer> = report
+            .slots
+            .into_iter()
+            .map(|slot| slot.expect("no request may be lost"))
+            .collect();
+        answers.push(slots);
     }
-    let local_bits = in_process.result_bits();
-    let wire_bits = http.result_bits();
     assert!(
-        local_bits.iter().any(|b| b.is_some()),
-        "parity run produced no successful payloads to compare"
+        answers[0].iter().any(|a| matches!(a, Answer::Point(_)))
+            && answers[0].iter().any(|a| matches!(a, Answer::Volume(_)))
+            && answers[0]
+                .iter()
+                .any(|a| matches!(a, Answer::Relation { .. })),
+        "the parity run must compare a successful answer of every class"
     );
     assert_eq!(
-        local_bits, wire_bits,
-        "HTTP transport drifted from the in-process results"
+        answers[0], answers[1],
+        "HTTP answers drifted from the in-process results"
     );
-
-    // The report schema is transport-agnostic: rows rendered from the HTTP
-    // run parse back with the same fields as in-process rows.
-    let rows: Vec<(String, _)> = class_stats(&sched, &http)
-        .into_iter()
-        .map(|s| (format!("load_http_sessions.{}", s.class.label()), s))
-        .collect();
-    let parsed = report::parse_report(&render_report(&rows, true)).unwrap();
-    for class in ["sample", "volume", "reconstruction"] {
-        let row = report::find(&parsed, &format!("load_http_sessions.{class}"))
-            .unwrap_or_else(|| panic!("missing HTTP row for class {class}"));
-        assert!(row.requests.is_some() && row.throughput_rps.is_some() && row.p99_ms.is_some());
-    }
-}
-
-#[test]
-fn committed_baseline_gates_against_a_fresh_quick_run() {
-    // The committed BENCH_load.json and a fresh harness run must agree on
-    // row coverage — the same check `ci.sh` performs, but in-process and
-    // against whatever the current source emits.
-    let baseline_text =
-        std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_load.json"))
-            .expect("committed BENCH_load.json baseline must exist");
-    let baseline = report::parse_report(&baseline_text).expect("baseline must parse");
-    assert!(
-        baseline.len() >= 4,
-        "the baseline must keep at least 4 workload-mix rows"
-    );
-    for row in &baseline {
-        assert!(row.workload.starts_with("load_"));
-        assert!(row.throughput_rps.is_some() && row.p99_ms.is_some());
-    }
-
-    // A tiny sessions run emits rows whose names match the baseline's
-    // sessions rows, so coverage of the committed schema cannot rot even if
-    // the bin and the test drift apart.
-    let (db, names) = soup_db();
-    let spec = LoadSpec::new(40, 2000.0, 11, SessionMix::read_heavy()).with_threads(2);
-    let sched = schedule(&spec, &names);
-    let rep = run(&db, &spec, &sched);
-    let rows: Vec<(String, _)> = class_stats(&sched, &rep)
-        .into_iter()
-        .map(|s| (format!("load_sessions.{}", s.class.label()), s))
-        .collect();
-    let fresh = report::parse_report(&render_report(&rows, true)).unwrap();
-    for row in baseline
-        .iter()
-        .filter(|r| r.workload.starts_with("load_sessions."))
-    {
-        assert!(
-            report::find(&fresh, &row.workload).is_some(),
-            "fresh run lost baseline row {}",
-            row.workload
-        );
-    }
 }
