@@ -35,6 +35,13 @@
 # and over HTTP) is the perfbench package's; the perfbench, recon and warm
 # stages build it and check its answers. A per-stage wall-clock summary is
 # printed at the end so slow-stage creep shows up in CI logs.
+#
+# Every test binary runs once per pass unless a later run changes what it
+# tests: the workspace run covers the unit, property, determinism and
+# sampler suites; the stages after it rerun only what the workspace run
+# shrinks through the environment (prepared_store and server at full size,
+# the full statistical gates) and the resilience suite, which runs five
+# times to shake out interleavings.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -112,26 +119,18 @@ echo "==> cargo test -q (workspace: unit + property + integration + doc tests)"
 # The heavy statistical gates are skipped inside the workspace run (they are
 # root-package integration tests, so they would execute here too) and run
 # explicitly below instead, so their cost is paid exactly once per CI pass.
-# The server loopback suite likewise runs shrunk here and at full size in its
-# own stage.
+# The server loopback suite and the prepared-store stress likewise run
+# shrunk here and at full size in their own stages. Everything else — the
+# stratified alias and projection-cache suites, the canonicalization
+# properties, the cdb-server crate's own tests and the batch determinism
+# suite — runs here only.
 CDB_STAT_QUICK=1 CDB_SERVER_QUICK=1 cargo test -q --workspace
 stage_end
 
-stage_begin stratified
-echo "==> stratified selection property suites (alias table + cache/selector invariance)"
-cargo test -q -p cdb-sampler --test stratified_alias
-cargo test -q -p cdb-sampler --test projection_cache
-stage_end
-
 stage_begin prepared
-echo "==> prepared-relation store suites (canonicalization properties + concurrent stress)"
-# Quick mode trims the property-case count; the store invisibility contract
-# itself (bitwise equality vs the disabled-store reference) runs either way.
-if [ "$QUICK" = "1" ]; then
-  PROPTEST_CASES=16 cargo test -q -p cdb-constraint --test canonical_prop
-else
-  cargo test -q -p cdb-constraint --test canonical_prop
-fi
+echo "==> prepared-relation store stress at full size"
+# The workspace run above shrinks it (tests/prepared_store.rs reads
+# CDB_STAT_QUICK); outside quick mode this is its only full-size run.
 cargo test -q --test prepared_store
 stage_end
 
@@ -157,8 +156,7 @@ echo "==> cdb-server stage (loopback smoke: every endpoint, error→status table
 # (including malformed JSON / oversized body / unknown route), byte-for-byte
 # seeded reproducibility, concurrent clients, and graceful shutdown. Quick
 # mode shrinks the concurrency sweep (tests/server.rs reads
-# CDB_SERVER_QUICK).
-cargo test -q -p cdb-server
+# CDB_SERVER_QUICK); the workspace run already ran it shrunk.
 if [ "$QUICK" = "1" ]; then
   CDB_SERVER_QUICK=1 cargo test -q --test server
 else
@@ -215,13 +213,6 @@ if [ "$QUICK" != "1" ]; then
   stage_begin statistical
   echo "==> statistical acceptance suite (chi-square uniformity + (eps, delta) volume gates)"
   env -u CDB_STAT_QUICK cargo test -q --test statistical
-  echo "==> stratified cell-selection gates (uniformity, volume, Poisson occupancy)"
-  env -u CDB_STAT_QUICK cargo test -q --test statistical stratified
-  stage_end
-
-  stage_begin determinism
-  echo "==> batch determinism suite (thread-count invariance + rejection/stratified volume agreement)"
-  cargo test -q --test determinism
   stage_end
 fi
 

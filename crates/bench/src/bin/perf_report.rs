@@ -52,12 +52,12 @@ use cdb_sampler::diagnostics::uniformity_chi_square;
 use cdb_sampler::{
     CellSelection, ConvexBody, DfkSampler, DifferenceGenerator, FixedDimSampler, GeneratorParams,
     IntersectionGenerator, ProjectionGenerator, ProjectionParams, RejectionSampler,
-    RelationGenerator, RelationVolumeEstimator, UnionGenerator,
+    RelationGenerator, RelationVolumeEstimator, SeedSequence, UnionGenerator,
 };
 use cdb_workloads::projection::deep_cone;
 use cdb_workloads::{degenerate, gis, polytopes, sat, structured};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 
 /// One measured row of `BENCH_walk.json`.
 struct Row {
@@ -104,6 +104,14 @@ fn rel_err_pct(estimate: f64, exact: f64) -> Option<Quality> {
 
 fn sd_pct(sd: f64, exact: f64) -> Option<Quality> {
     quality("sd_pct", 100.0 * sd / exact)
+}
+
+/// Median of `repeats` DFK volume estimates funded by a seed sequence rooted
+/// at one draw of `r` (the seeding the recorded claim qualities use).
+fn dfk_median(sampler: &mut DfkSampler, repeats: usize, r: &mut StdRng) -> f64 {
+    sampler
+        .estimate_volume_median(repeats, &SeedSequence::new(r.next_u64()), 0)
+        .expect("DFK estimates never fail")
 }
 
 /// The report under measurement: the sampler parameters and time windows
@@ -159,7 +167,7 @@ impl Report {
         let d = p.dim();
         let body = ConvexBody::from_polytope(p).expect("workload polytope is well-bounded");
         let mut rng = StdRng::seed_from_u64(seed);
-        let sampler = DfkSampler::new(body, self.params, &mut rng);
+        let mut sampler = DfkSampler::new(body, self.params, &mut rng);
         let sps = self.measure(|| {
             std::hint::black_box(sampler.sample(&mut rng));
         });
@@ -207,7 +215,7 @@ fn walk_rows(report: &mut Report) {
         let ball = Ellipsoid::ball(Vector::zeros(d), 1.0).expect("unit ball");
         let body = ConvexBody::from_oracle(Arc::new(ball), Vector::zeros(d), 0.8, 1.25);
         let mut rng = StdRng::seed_from_u64(1002);
-        let sampler = DfkSampler::new(body, params, &mut rng);
+        let mut sampler = DfkSampler::new(body, params, &mut rng);
         let sps = report.measure(|| {
             std::hint::black_box(sampler.sample(&mut rng));
         });
@@ -352,8 +360,8 @@ fn e1_e2_convex(report: &mut Report) {
         for (name, (tuple, exact)) in [("hypercube", hypercube), ("simplex", simplex)] {
             let mut r = StdRng::seed_from_u64(100 + d as u64);
             let body = ConvexBody::from_tuple(&tuple).expect("workload bodies are well-bounded");
-            let sampler = DfkSampler::new(body, params, &mut r);
-            let estimate = sampler.estimate_volume_median(3, &mut r);
+            let mut sampler = DfkSampler::new(body, params, &mut r);
+            let estimate = dfk_median(&mut sampler, 3, &mut r);
             let quality = rel_err_pct(estimate, exact);
             report.claim(format!("e1_{name}_d{d}_volume"), d, quality, || {
                 sampler.estimate_volume(&mut r)
@@ -367,8 +375,9 @@ fn e1_e2_convex(report: &mut Report) {
         // the certificate ball, and `estimate_volume` then returns the closed
         // form without walking (the exact-certificate shortcut).
         let body = ConvexBody::from_oracle(Arc::new(ball), Vector::zeros(d), 0.8, 1.25);
-        let dfk = DfkSampler::new(body.clone(), params, &mut r);
-        let dfk_quality = rel_err_pct(dfk.estimate_volume(&mut r), unit_ball_volume(d));
+        let mut dfk = DfkSampler::new(body.clone(), params, &mut r);
+        let dfk_estimate = dfk.estimate_volume(&mut r).expect("DFK never fails");
+        let dfk_quality = rel_err_pct(dfk_estimate, unit_ball_volume(d));
         let mut rejection =
             RejectionSampler::new(body, Vector::filled(d, -1.0), Vector::filled(d, 1.0));
         rejection.set_volume_trials(5_000);
@@ -663,11 +672,8 @@ fn e11_e12_sat_polynomial(report: &mut Report) {
         // walk (a tight one would take the exact-certificate shortcut).
         let ball = Ellipsoid::ball(Vector::zeros(d), 1.0).expect("unit ball");
         let body = ConvexBody::from_oracle(Arc::new(ball), Vector::zeros(d), 0.8, 1.25);
-        let sampler = DfkSampler::new(body, params, &mut r);
-        let ball_quality = rel_err_pct(
-            sampler.estimate_volume_median(3, &mut r),
-            unit_ball_volume(d),
-        );
+        let mut sampler = DfkSampler::new(body, params, &mut r);
+        let ball_quality = rel_err_pct(dfk_median(&mut sampler, 3, &mut r), unit_ball_volume(d));
 
         // An axis-aligned ellipsoid with exact volume.
         let semi_axes: Vec<f64> = (0..d).map(|i| 0.5 + 0.25 * i as f64).collect();
@@ -676,8 +682,8 @@ fn e11_e12_sat_polynomial(report: &mut Report) {
         let r_inf = semi_axes.iter().cloned().fold(f64::INFINITY, f64::min);
         let r_sup = semi_axes.iter().cloned().fold(0.0f64, f64::max);
         let body_e = ConvexBody::from_oracle(Arc::new(ellipsoid), Vector::zeros(d), r_inf, r_sup);
-        let sampler_e = DfkSampler::new(body_e, params, &mut r);
-        let ellipsoid_quality = rel_err_pct(sampler_e.estimate_volume_median(3, &mut r), exact_e);
+        let mut sampler_e = DfkSampler::new(body_e, params, &mut r);
+        let ellipsoid_quality = rel_err_pct(dfk_median(&mut sampler_e, 3, &mut r), exact_e);
 
         report.claim(format!("e12_ball_volume_d{d}"), d, ball_quality, || {
             sampler.estimate_volume(&mut r)

@@ -42,7 +42,7 @@ use rand::Rng;
 use cdb_constraint::{Formula, GeneralizedRelation};
 use cdb_reconstruct::ReconstructionError;
 use cdb_sampler::{
-    batch, BudgetTrip, FaultPlan, QueryBudget, RelationGenerator, RelationVolumeEstimator,
+    batch, median, BudgetTrip, FaultPlan, QueryBudget, RelationGenerator, RelationVolumeEstimator,
     SeedSequence, UnionGenerator,
 };
 
@@ -222,17 +222,6 @@ pub struct QueryOutcome {
     /// completed, and always `None` under [`FailureMode::Fail`], where the
     /// first failure is returned as `Err` instead).
     pub error: Option<SpatialDbError>,
-}
-
-/// Median of the values by `partial_cmp` (all estimates are finite);
-/// `None` for an empty iterator.
-fn median(values: impl Iterator<Item = f64>) -> Option<f64> {
-    let mut v: Vec<f64> = values.collect();
-    if v.is_empty() {
-        return None;
-    }
-    v.sort_by(|a, b| a.partial_cmp(b).expect("volume estimates are finite"));
-    Some(v[v.len() / 2])
 }
 
 impl QueryOutcome {

@@ -6,7 +6,9 @@ use cdb_constraint::GeneralizedTuple;
 use cdb_geometry::hull::hull_to_hpolytope;
 use cdb_geometry::HPolytope;
 use cdb_linalg::Vector;
-use cdb_sampler::{BudgetTrip, ConvexBody, DfkSampler, GeneratorParams};
+use cdb_sampler::{
+    BudgetTrip, ConvexBody, DfkSampler, GeneratorParams, RelationGenerator, SeedSequence,
+};
 
 /// Errors produced by the reconstruction layer.
 #[derive(Debug, Clone, PartialEq)]
@@ -89,6 +91,27 @@ pub fn hull_sample_size(r_vertices: usize, dim: usize, eps: f64, delta: f64) -> 
     (n.ceil() as usize).clamp(dim + 1, 200_000)
 }
 
+/// The reconstruction step shared by every estimator: the convex hull of
+/// `samples` in dimension `dim`. Fewer than `dim + 1` samples (too few to
+/// span a full-dimensional hull), or fewer than half of the `requested`
+/// ones, are [`ReconstructionError::NotEnoughSamples`]; enough samples
+/// without a full-dimensional hull are
+/// [`ReconstructionError::DegenerateSamples`].
+pub(crate) fn hull_of(
+    samples: &[Vec<f64>],
+    requested: usize,
+    dim: usize,
+) -> Result<HPolytope, ReconstructionError> {
+    if samples.len() < dim + 1 || samples.len() * 2 < requested {
+        return Err(ReconstructionError::NotEnoughSamples {
+            requested,
+            produced: samples.len(),
+        });
+    }
+    let points: Vec<Vector> = samples.iter().map(|p| Vector::from(p.as_slice())).collect();
+    hull_to_hpolytope(&points).ok_or(ReconstructionError::DegenerateSamples)
+}
+
 /// Hull-of-samples `(ε, δ)`-estimator for one well-bounded convex relation.
 #[derive(Debug)]
 pub struct ConvexReconstructor {
@@ -114,26 +137,27 @@ impl ConvexReconstructor {
         rng: &mut R,
     ) -> Result<HPolytope, ReconstructionError> {
         let body = ConvexBody::from_tuple(tuple).ok_or(ReconstructionError::NotObservable)?;
-        let sampler = DfkSampler::new(body, self.params, rng);
+        let mut sampler = DfkSampler::new(body, self.params, rng);
         let d = tuple.arity();
         let n = n_samples.unwrap_or_else(|| default_hull_sample_size(d, self.eps, self.delta));
-        self.hull_of_samples(&sampler.sample_many(n, rng), n)
+        let seq = SeedSequence::new(rng.next_u64());
+        let samples: Vec<Vec<f64>> = sampler
+            .sample_batch(n, &seq, 0)
+            .into_iter()
+            .flatten()
+            .collect();
+        hull_of(&samples, n, d)
     }
 
-    /// Builds the hull polytope from already-generated samples.
+    /// Builds the hull polytope from already-generated samples, in their own
+    /// dimension `d`: fewer than `d + 1` samples, or fewer than half of the
+    /// `requested` ones, are [`ReconstructionError::NotEnoughSamples`].
     pub fn hull_of_samples(
         &self,
         samples: &[Vec<f64>],
         requested: usize,
     ) -> Result<HPolytope, ReconstructionError> {
-        if samples.len() < 2 || samples.len() * 2 < requested {
-            return Err(ReconstructionError::NotEnoughSamples {
-                requested,
-                produced: samples.len(),
-            });
-        }
-        let points: Vec<Vector> = samples.iter().map(|p| Vector::from(p.as_slice())).collect();
-        hull_to_hpolytope(&points).ok_or(ReconstructionError::DegenerateSamples)
+        hull_of(samples, requested, samples.first().map_or(0, Vec::len))
     }
 
     /// The `(ε, δ)` targets of the reconstruction.
@@ -206,6 +230,20 @@ mod tests {
         assert_eq!(
             rec.reconstruct_tuple(&halfplane, Some(10), &mut rng),
             Err(ReconstructionError::NotObservable)
+        );
+    }
+
+    #[test]
+    fn fewer_than_dim_plus_one_samples_are_not_enough() {
+        // Two points cannot span a planar hull: too few samples, not a
+        // degenerate body.
+        let rec = ConvexReconstructor::new(GeneratorParams::fast(), 0.2, 0.2);
+        assert_eq!(
+            rec.hull_of_samples(&[vec![0.0, 0.0], vec![1.0, 1.0]], 2),
+            Err(ReconstructionError::NotEnoughSamples {
+                requested: 2,
+                produced: 2
+            })
         );
     }
 }

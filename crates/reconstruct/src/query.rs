@@ -6,13 +6,11 @@ use rand::Rng;
 use cdb_constraint::{
     Atom, CompOp, Database, Formula, GeneralizedRelation, GeneralizedTuple, LinTerm,
 };
-use cdb_geometry::hull::hull_to_hpolytope;
 use cdb_geometry::HPolytope;
-use cdb_linalg::Vector;
 use cdb_num::Rational;
 use cdb_sampler::{GeneratorParams, ProjectionGenerator, QueryBudget, RelationGenerator};
 
-use crate::convex::{default_hull_sample_size, ReconstructionError};
+use crate::convex::{default_hull_sample_size, hull_of, ReconstructionError};
 use crate::pieces::{prepared_piece, PieceStore};
 
 /// Converts a reconstructed hull polytope back into a generalized tuple so
@@ -71,15 +69,7 @@ impl ProjectionQueryEstimator {
             .map_err(|e| ReconstructionError::UnsupportedQuery(e.to_string()))?;
         let e = keep.len();
         let n = n_samples.unwrap_or_else(|| default_hull_sample_size(e, self.eps, self.delta));
-        let samples = generator.sample_many(n, rng);
-        if samples.len() < e + 1 || samples.len() * 2 < n {
-            return Err(ReconstructionError::NotEnoughSamples {
-                requested: n,
-                produced: samples.len(),
-            });
-        }
-        let points: Vec<Vector> = samples.iter().map(|p| Vector::from(p.as_slice())).collect();
-        hull_to_hpolytope(&points).ok_or(ReconstructionError::DegenerateSamples)
+        hull_of(&generator.sample_many(n, rng), n, e)
     }
 
     /// Estimates the projection and returns it as a generalized relation.
@@ -305,16 +295,12 @@ impl PositiveQueryEstimator {
                     Err(_) => continue,
                 };
                 let samples = draw_budgeted(&mut generator, n, &mut budget, rng)?;
-                if samples.len() < output_arity + 1 || samples.len() * 2 < n {
-                    return Err(ReconstructionError::NotEnoughSamples {
-                        requested: n,
-                        produced: samples.len(),
-                    });
-                }
-                let points: Vec<Vector> =
-                    samples.iter().map(|p| Vector::from(p.as_slice())).collect();
-                if let Some(hull) = hull_to_hpolytope(&points) {
-                    result_tuples.push(polytope_to_tuple(&hull));
+                match hull_of(&samples, n, output_arity) {
+                    Ok(hull) => result_tuples.push(polytope_to_tuple(&hull)),
+                    // A flat piece's hull has measure zero: it contributes
+                    // nothing.
+                    Err(ReconstructionError::DegenerateSamples) => {}
+                    Err(e) => return Err(e),
                 }
             }
         }

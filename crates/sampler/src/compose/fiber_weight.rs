@@ -22,9 +22,12 @@
 //!   cache and no cache at all produce bitwise identical trajectories, and
 //!   batch workers agree regardless of which worker filled which cell first.
 //!
-//! [`FiberWeightCache`] is the memo: a fixed-capacity open-addressing table
-//! over the integer grid coordinates of the projected cell with LRU-ish
-//! eviction inside each probe window. One cache lives in each generator (and
+//! [`FiberWeightCache`] is the memo: a map from the integer grid coordinates
+//! of the projected cell to its weight, holding at most a fixed number of
+//! cells. Only the rejection loop reads or writes it, because only the
+//! rejection loop lands in a cell more than once; the stratified and
+//! coarse-to-fine selectors fill each cell of their tables exactly once and
+//! keep the tables themselves. One cache lives in each generator (and
 //! therefore in each batch worker's clone), preserving the batch layer's
 //! thread-count-invariance contract bit for bit.
 //!
@@ -32,6 +35,8 @@
 //! enumeration (exponential in the fiber dimension, unbeatable below it) or
 //! the in-crate Dyer–Frieze–Kannan telescoping estimator under an `(ε, δ)`
 //! budget (polynomial, the only option once the fiber dimension grows).
+
+use std::collections::HashMap;
 
 use crate::compose::stratified::CellSelection;
 use crate::params::GeneratorParams;
@@ -53,17 +58,6 @@ pub const DEFAULT_MAX_ENUMERATED_CELLS: usize = 1 << 16;
 /// Upper bound on [`ProjectionParams::max_enumerated_cells`]: the stratified
 /// selector addresses its cells by `u32` odometer index.
 pub const MAX_ENUMERATED_CELLS: usize = u32::MAX as usize;
-
-/// Linear-probe window of the open-addressing table: a lookup inspects at
-/// most this many slots, and an insert evicts the least-recently-used entry
-/// within the window when all of them are occupied.
-const PROBE_WINDOW: usize = 8;
-
-/// Upper bound on the slot count of a [`FiberWeightCache`]. Requests above
-/// it (e.g. `usize::MAX` meaning "effectively unbounded") are clamped here
-/// instead of overflowing `next_power_of_two`; 2²⁴ slots is already far
-/// beyond any projection's cell working set.
-const MAX_CACHE_SLOTS: usize = 1 << 24;
 
 /// How the cylinder weight `ĥ` of a cache-missed cell is computed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -89,15 +83,10 @@ pub struct ProjectionParams {
     /// Fiber-volume strategy; [`FiberVolume::Auto`] resolves by fiber
     /// dimension at construction.
     pub fiber_volume: FiberVolume,
-    /// Capacity of the per-generator weight cache; `0` disables memoization
-    /// (every attempt recomputes its weight — the cold twin of the perf
-    /// report).
+    /// Most cells the per-generator weight cache holds; `0` disables
+    /// memoization (every attempt recomputes its weight — the cold twin of
+    /// the perf report).
     pub cache_capacity: usize,
-    /// `ε` of the estimated-fiber-volume budget (only read by
-    /// [`FiberVolume::Estimated`]).
-    pub estimator_eps: f64,
-    /// `δ` of the estimated-fiber-volume budget.
-    pub estimator_delta: f64,
     /// How the generator selects the γ-grid cell of each sample;
     /// [`CellSelection::Auto`] resolves against the enumeration budget at
     /// construction.
@@ -112,15 +101,13 @@ pub struct ProjectionParams {
 
 impl ProjectionParams {
     /// Wraps base generator parameters with the default weight subsystem:
-    /// auto strategy selection, a [`DEFAULT_WEIGHT_CACHE_CAPACITY`]-entry
-    /// cache, and the base `(ε, δ)` as the estimator budget.
+    /// auto strategy selection and a [`DEFAULT_WEIGHT_CACHE_CAPACITY`]-entry
+    /// cache.
     pub fn new(base: GeneratorParams) -> Self {
         ProjectionParams {
             base,
             fiber_volume: FiberVolume::Auto,
             cache_capacity: DEFAULT_WEIGHT_CACHE_CAPACITY,
-            estimator_eps: base.eps,
-            estimator_delta: base.delta,
             cell_selection: CellSelection::Auto,
             max_enumerated_cells: DEFAULT_MAX_ENUMERATED_CELLS,
         }
@@ -135,13 +122,6 @@ impl ProjectionParams {
     /// Overrides the cache capacity (`0` disables memoization).
     pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
         self.cache_capacity = capacity;
-        self
-    }
-
-    /// Overrides the `(ε, δ)` budget of the estimated strategy.
-    pub fn with_estimator_budget(mut self, eps: f64, delta: f64) -> Self {
-        self.estimator_eps = eps;
-        self.estimator_delta = delta;
         self
     }
 
@@ -172,29 +152,19 @@ impl ProjectionParams {
     }
 
     /// The generator parameters handed to the telescoping fiber-volume
-    /// estimator: the base walk configuration under the estimator's own
-    /// `(ε, δ)` budget, without rounding (fibers are re-estimated per cell;
-    /// the rounding walks would dominate the fill cost).
+    /// estimator: the base parameters without rounding (fibers are
+    /// re-estimated per cell; the rounding walks would dominate the fill
+    /// cost).
     pub fn estimator_params(&self) -> GeneratorParams {
         GeneratorParams {
-            eps: self.estimator_eps,
-            delta: self.estimator_delta,
             rounding: false,
             ..self.base
         }
     }
 
-    /// Validates the base parameters and the estimator budget.
+    /// Validates the base parameters and the enumeration budget.
     pub fn validate(&self) -> Result<(), String> {
         self.base.validate()?;
-        for (name, v) in [
-            ("estimator_eps", self.estimator_eps),
-            ("estimator_delta", self.estimator_delta),
-        ] {
-            if !(0.0 < v && v < 1.0) {
-                return Err(format!("{name} must lie in (0, 1), got {v}"));
-            }
-        }
         if self.max_enumerated_cells == 0 || self.max_enumerated_cells > MAX_ENUMERATED_CELLS {
             return Err(format!(
                 "max_enumerated_cells must lie in [1, {MAX_ENUMERATED_CELLS}], got {}",
@@ -211,61 +181,32 @@ impl From<GeneratorParams> for ProjectionParams {
     }
 }
 
-/// One stored cell weight.
-#[derive(Clone, Debug)]
-struct Entry {
-    hash: u64,
-    key: Vec<i64>,
-    weight: f64,
-    stamp: u64,
-}
-
-/// Fixed-capacity memo of cylinder weights, keyed by the integer γ-grid
+/// Bounded memo of cylinder weights, keyed by the integer γ-grid
 /// coordinates of the projected cell.
 ///
-/// Open addressing with linear probing over a power-of-two table; inserts
-/// that find their whole probe window occupied evict the least-recently-used
-/// entry *within the window* (LRU-ish: cheap, deterministic, and good enough
-/// because the working set of a projection run — the cells of the projected
-/// body — is tiny compared to the default capacity). All operations are
-/// deterministic functions of the call sequence, so caching never perturbs
-/// batch determinism.
-///
-/// The table is allocated on the first insert, so a generator that never
-/// fills through the memo (a stratified piece enumerates its cells directly)
-/// never holds the slots.
+/// It holds at most `capacity` cells: once full it stops inserting and
+/// never evicts, which is enough because the working set of a projection
+/// run — the cells of the projected body — is small compared to the default
+/// capacity, and a weight is a pure function of its cell, so what the memo
+/// holds never changes a trajectory. The map allocates on the first insert,
+/// so a generator that never fills through the memo (a stratified piece
+/// enumerates its cells directly) holds no table.
 #[derive(Clone, Debug)]
 pub struct FiberWeightCache {
-    /// Empty until the first insert; then `size` slots.
-    slots: Vec<Option<Entry>>,
-    /// Slot count of the table (a power of two), `0` when disabled.
-    size: usize,
-    /// `size - 1` when enabled (power-of-two table).
-    mask: usize,
-    tick: u64,
+    weights: HashMap<Vec<i64>, f64>,
+    /// Most cells held; `0` disables the cache.
+    capacity: usize,
     hits: u64,
     misses: u64,
 }
 
 impl FiberWeightCache {
-    /// Creates a cache with at least `capacity` slots (rounded up to a power
-    /// of two, clamped to `MAX_CACHE_SLOTS` so an "unbounded" request like
-    /// `usize::MAX` stays finite); `0` builds a disabled cache that never
-    /// stores anything.
+    /// Creates a cache that holds at most `capacity` cells; `0` builds a
+    /// disabled cache that never stores anything.
     pub fn new(capacity: usize) -> Self {
-        let size = if capacity == 0 {
-            0
-        } else {
-            capacity
-                .min(MAX_CACHE_SLOTS)
-                .next_power_of_two()
-                .max(PROBE_WINDOW)
-        };
         FiberWeightCache {
-            slots: Vec::new(),
-            size,
-            mask: size.saturating_sub(1),
-            tick: 0,
+            weights: HashMap::new(),
+            capacity,
             hits: 0,
             misses: 0,
         }
@@ -273,27 +214,27 @@ impl FiberWeightCache {
 
     /// `true` when the cache can store entries (capacity > 0).
     pub fn is_enabled(&self) -> bool {
-        self.size > 0
+        self.capacity > 0
     }
 
-    /// Number of slots in the table once allocated.
+    /// Most cells the cache holds.
     pub fn capacity(&self) -> usize {
-        self.size
+        self.capacity
     }
 
     /// Number of slots allocated so far: `0` until the first insert.
     pub fn allocated_slots(&self) -> usize {
-        self.slots.len()
+        self.weights.capacity()
     }
 
     /// Number of stored entries.
     pub fn len(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
+        self.weights.len()
     }
 
     /// `true` when no entry is stored.
     pub fn is_empty(&self) -> bool {
-        self.slots.iter().all(|s| s.is_none())
+        self.weights.is_empty()
     }
 
     /// Lookup hits so far.
@@ -306,9 +247,9 @@ impl FiberWeightCache {
         self.misses
     }
 
-    /// Deterministic hash of a cell key — also used to derive the RNG stream
-    /// of the [`FiberVolume::Estimated`] strategy, so an estimated weight is
-    /// a pure function of `(generator seed, cell)`.
+    /// Deterministic hash of a cell key, from which the
+    /// [`FiberVolume::Estimated`] strategy derives the cell's RNG stream, so
+    /// an estimated weight is a pure function of `(generator seed, cell)`.
     pub fn key_hash(key: &[i64]) -> u64 {
         // SplitMix64-style avalanche folded over the coordinates.
         let mut h: u64 = 0x9E37_79B9_7F4A_7C15 ^ (key.len() as u64);
@@ -321,96 +262,29 @@ impl FiberWeightCache {
         h
     }
 
-    /// Looks the cell up, refreshing its recency stamp on a hit.
+    /// Looks the cell up, counting a hit or a miss.
     pub fn get(&mut self, key: &[i64]) -> Option<f64> {
-        self.get_hashed(Self::key_hash(key), key)
-    }
-
-    /// [`FiberWeightCache::get`] with the key's hash precomputed — the hot
-    /// path computes the hash once and reuses it for the probe, the insert
-    /// and the estimator's RNG stream.
-    pub fn get_hashed(&mut self, hash: u64, key: &[i64]) -> Option<f64> {
-        debug_assert_eq!(hash, Self::key_hash(key), "stale key hash");
-        if self.slots.is_empty() {
+        let found = self.weights.get(key).copied();
+        if found.is_some() {
+            self.hits += 1;
+        } else {
             self.misses += 1;
-            return None;
         }
-        let base = hash as usize & self.mask;
-        for i in 0..PROBE_WINDOW {
-            let idx = (base + i) & self.mask;
-            if let Some(entry) = &mut self.slots[idx] {
-                if entry.hash == hash && entry.key == key {
-                    self.tick += 1;
-                    entry.stamp = self.tick;
-                    self.hits += 1;
-                    return Some(entry.weight);
-                }
-            }
-        }
-        self.misses += 1;
-        None
+        found
     }
 
-    /// Stores the cell's weight, evicting the least-recently-used entry of
-    /// the probe window when it is full. No-op on a disabled cache.
+    /// Stores the cell's weight unless the cache is full (or disabled).
     pub fn insert(&mut self, key: &[i64], weight: f64) {
-        self.insert_hashed(Self::key_hash(key), key, weight);
+        if self.weights.len() < self.capacity {
+            self.weights.insert(key.to_vec(), weight);
+        }
     }
 
-    /// Iterates over the warm cells: `(integer grid key, stored weight)` for
-    /// every occupied slot, in table order. Table order depends on the fill
-    /// history, so callers that need the canonical deterministic order must
+    /// Iterates over the warm cells: `(integer grid key, stored weight)` in
+    /// no particular order; callers that need a deterministic order must
     /// sort by the integer key.
     pub fn iter(&self) -> impl Iterator<Item = (&[i64], f64)> {
-        self.slots
-            .iter()
-            .filter_map(|s| s.as_ref().map(|e| (e.key.as_slice(), e.weight)))
-    }
-
-    /// [`FiberWeightCache::insert`] with the key's hash precomputed.
-    pub fn insert_hashed(&mut self, hash: u64, key: &[i64], weight: f64) {
-        debug_assert_eq!(hash, Self::key_hash(key), "stale key hash");
-        if self.size == 0 {
-            return;
-        }
-        if self.slots.is_empty() {
-            self.slots = vec![None; self.size];
-        }
-        let base = hash as usize & self.mask;
-        self.tick += 1;
-        let mut victim = base & self.mask;
-        let mut victim_stamp = u64::MAX;
-        for i in 0..PROBE_WINDOW {
-            let idx = (base + i) & self.mask;
-            match &mut self.slots[idx] {
-                None => {
-                    self.slots[idx] = Some(Entry {
-                        hash,
-                        key: key.to_vec(),
-                        weight,
-                        stamp: self.tick,
-                    });
-                    return;
-                }
-                Some(entry) => {
-                    if entry.hash == hash && entry.key == key {
-                        entry.weight = weight;
-                        entry.stamp = self.tick;
-                        return;
-                    }
-                    if entry.stamp < victim_stamp {
-                        victim_stamp = entry.stamp;
-                        victim = idx;
-                    }
-                }
-            }
-        }
-        self.slots[victim] = Some(Entry {
-            hash,
-            key: key.to_vec(),
-            weight,
-            stamp: self.tick,
-        });
+        self.weights.iter().map(|(k, &w)| (k.as_slice(), w))
     }
 }
 
@@ -436,19 +310,12 @@ mod tests {
     }
 
     #[test]
-    fn oversized_capacity_requests_are_clamped() {
-        let c = FiberWeightCache::new(usize::MAX);
-        assert!(c.is_enabled());
-        assert_eq!(c.capacity(), MAX_CACHE_SLOTS);
-    }
-
-    #[test]
     fn slots_are_allocated_on_the_first_insert() {
         let mut c = FiberWeightCache::new(64);
         assert_eq!(c.get(&[1]), None);
         assert_eq!(c.allocated_slots(), 0, "a lookup allocated the table");
         c.insert(&[1], 2.0);
-        assert_eq!(c.allocated_slots(), 64);
+        assert!(c.allocated_slots() > 0);
         assert_eq!(c.get(&[1]), Some(2.0));
         let mut disabled = FiberWeightCache::new(0);
         disabled.insert(&[1], 2.0);
@@ -465,35 +332,16 @@ mod tests {
     }
 
     #[test]
-    fn eviction_is_bounded_and_keeps_recent_entries() {
-        // A tiny table forces evictions; recently-touched keys survive the
-        // window-local LRU while the stale ones go.
-        let mut c = FiberWeightCache::new(8);
-        for k in 0..200i64 {
+    fn a_full_cache_stops_inserting() {
+        let mut c = FiberWeightCache::new(2);
+        for k in 0..10i64 {
             c.insert(&[k], k as f64);
         }
-        assert!(c.len() <= c.capacity());
-        // The most recent insert is always retrievable.
-        assert_eq!(c.get(&[199]), Some(199.0));
-    }
-
-    #[test]
-    fn heavy_reuse_after_eviction_pressure() {
-        let mut c = FiberWeightCache::new(32);
-        // A hot key touched between single inserts always carries the
-        // freshest stamp in its probe window, so the window-local LRU never
-        // picks it as the victim.
-        c.insert(&[-3, -3], 42.0);
-        for wave in 0..10i64 {
-            for k in 0..16i64 {
-                c.insert(&[wave, k], (wave * k) as f64);
-                assert_eq!(
-                    c.get(&[-3, -3]),
-                    Some(42.0),
-                    "hot key evicted in wave {wave} at churn key {k}"
-                );
-            }
-        }
+        assert_eq!(c.len(), 2);
+        // The first cells stay; nothing is evicted for the later ones.
+        assert_eq!(c.get(&[0]), Some(0.0));
+        assert_eq!(c.get(&[1]), Some(1.0));
+        assert_eq!(c.get(&[9]), None);
     }
 
     #[test]
@@ -532,15 +380,14 @@ mod tests {
     #[test]
     fn params_builders_and_validation() {
         let base = GeneratorParams::fast();
-        let p = ProjectionParams::new(base)
-            .with_cache_capacity(0)
-            .with_estimator_budget(0.25, 0.15);
+        let p = ProjectionParams::new(base).with_cache_capacity(0);
         assert_eq!(p.cache_capacity, 0);
-        assert_eq!(p.estimator_params().eps, 0.25);
-        assert_eq!(p.estimator_params().delta, 0.15);
+        assert_eq!(p.estimator_params().eps, base.eps);
+        assert_eq!(p.estimator_params().delta, base.delta);
         assert!(!p.estimator_params().rounding);
         assert!(p.validate().is_ok());
-        assert!(p.with_estimator_budget(0.0, 0.1).validate().is_err());
+        let bad_eps = GeneratorParams { eps: 0.0, ..base };
+        assert!(ProjectionParams::new(bad_eps).validate().is_err());
         let from: ProjectionParams = base.into();
         assert_eq!(from.base, base);
         assert_eq!(from.fiber_volume, FiberVolume::Auto);

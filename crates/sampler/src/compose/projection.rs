@@ -11,19 +11,23 @@
 //! # The compensation-weight data flow
 //!
 //! `ĥ` is a γ-grid count, so the weight of `y` *snapped to its grid cell* is
-//! an exact finite-domain memo key. The hot path therefore runs
-//! **snap → probe → fill**:
+//! an exact finite-domain key. Every weight is computed by **snap → fill**:
 //!
 //! 1. **snap** — the projected point is snapped to the integer coordinates
 //!    of its γ-grid cell;
-//! 2. **probe** — the per-generator [`FiberWeightCache`] is consulted; a hit
-//!    skips fiber construction entirely;
-//! 3. **fill** — on a miss the [`FiberVolume`] strategy computes the weight
-//!    at the snapped cell center: `Exact` re-aims the reusable
-//!    [`FiberTemplate`] (no allocation, no fresh polytope) and runs vertex
-//!    enumeration; `Estimated` runs the in-crate telescoping estimator with
-//!    randomness derived from the cell key, so the weight stays a pure
-//!    function of the cell and caching is invisible to the output stream.
+//! 2. **fill** — the [`FiberVolume`] strategy computes the weight at the
+//!    snapped cell center: `Exact` re-aims the reusable [`FiberTemplate`]
+//!    (no allocation, no fresh polytope) and runs vertex enumeration;
+//!    `Estimated` runs the in-crate telescoping estimator with randomness
+//!    derived from the cell key, so the weight stays a pure function of the
+//!    cell.
+//!
+//! The stratified and coarse-to-fine selectors fill each cell of their
+//! tables once and keep the tables. Only the rejection loop lands in a cell
+//! again, so only it consults the per-generator [`FiberWeightCache`] between
+//! snap and fill; a hit skips fiber construction entirely, and because a
+//! weight is a pure function of its cell the memo is invisible to the
+//! output stream.
 
 use std::sync::Arc;
 
@@ -57,8 +61,8 @@ pub struct ProjectionGenerator {
     fiber_volume: FiberVolume,
     /// Reusable fiber system, re-aimed per cache miss.
     fiber: FiberTemplate,
-    /// Memoized cylinder weights, one cache per generator (and so per batch
-    /// worker clone).
+    /// Memoized cylinder weights of the rejection loop, one cache per
+    /// generator (and so per batch worker clone).
     cache: FiberWeightCache,
     /// Seed of the `Estimated` strategy's per-cell RNG streams; drawn once
     /// at construction so every clone derives identical streams.
@@ -118,7 +122,8 @@ impl ProjectionGenerator {
     }
 
     /// Builds the generator with explicit [`ProjectionParams`]: fiber-volume
-    /// strategy, weight-cache capacity and estimator budget.
+    /// strategy, weight-cache capacity, cell selection and enumeration
+    /// budget.
     pub fn new_with<R: Rng + ?Sized>(
         tuple: &GeneralizedTuple,
         keep: &[usize],
@@ -331,7 +336,7 @@ impl ProjectionGenerator {
     }
 
     /// The memoized compensation weight `ĥ` of the γ-grid cell containing
-    /// `y`: snap → probe → fill (see the module docs). The weight of a cell
+    /// `y`: snap → memo → fill (see the module docs). The weight of a cell
     /// is a pure function of the cell (and, for the estimated strategy, the
     /// generator's weight seed), so hits and misses produce identical
     /// values and the cache never changes a trajectory.
@@ -356,36 +361,30 @@ impl ProjectionGenerator {
         let mut key = std::mem::take(&mut self.key_buf);
         key.clear();
         key.extend(y.iter().map(|&v| self.grid.coord_index(v)));
-        let mass = self.cell_mass_keyed(&key);
+        let mass = match self.cache.get(&key) {
+            Some(w) => w,
+            None => {
+                // Fill at the cell center and memoize.
+                let w = self.fill_mass(&key);
+                self.cache.insert(&key, w);
+                w
+            }
+        };
         self.key_buf = key;
         mass
     }
 
-    /// [`ProjectionGenerator::cell_mass`] for an already-snapped integer
-    /// cell key: probe → fill. The hash is computed once and shared by the
-    /// probe, the insert and the estimator's RNG-stream derivation.
-    fn cell_mass_keyed(&mut self, key: &[i64]) -> f64 {
-        let hash = FiberWeightCache::key_hash(key);
-        match self.cache.get_hashed(hash, key) {
-            Some(w) => w,
-            None => {
-                // Fill at the cell center and memoize.
-                let w = self.fill_mass(key, hash);
-                self.cache.insert_hashed(hash, key, w);
-                w
-            }
-        }
-    }
-
     /// Computes the unclamped mass of one cell through the resolved
     /// strategy.
-    fn fill_mass(&mut self, key: &[i64], hash: u64) -> f64 {
+    fn fill_mass(&mut self, key: &[i64]) -> f64 {
         let mut y = std::mem::take(&mut self.snap_buf);
         y.clear();
         y.extend(key.iter().map(|&k| self.grid.coord_at(k)));
         let vol = match self.fiber_volume {
             FiberVolume::Exact | FiberVolume::Auto => self.fiber.exact_volume(&y),
-            FiberVolume::Estimated => self.estimated_fiber_volume(&y, hash),
+            FiberVolume::Estimated => {
+                self.estimated_fiber_volume(&y, FiberWeightCache::key_hash(key))
+            }
         };
         self.snap_buf = y;
         vol / self.cell
@@ -449,10 +448,8 @@ impl ProjectionGenerator {
                 let Some(range) = self.range.clone() else {
                     return;
                 };
-                self.strata = StratifiedCells::enumerate(range, |key| {
-                    self.fill_mass(key, FiberWeightCache::key_hash(key))
-                })
-                .map(Arc::new);
+                self.strata =
+                    StratifiedCells::enumerate(range, |key| self.fill_mass(key)).map(Arc::new);
             }
             CellSelection::CoarseToFine => {
                 if let Some(range) = self.range.clone() {
@@ -516,7 +513,7 @@ impl ProjectionGenerator {
                 break;
             }
             map.sample_coarse(rng, &mut coarse_key);
-            let cell = map.fine_cell(&coarse_key, |k| self.cell_mass_keyed(k));
+            let cell = map.fine_cell(&coarse_key, |k| self.fill_mass(k));
             self.attempts += 1;
             if rng.gen_range(0.0..1.0) * proposal < cell.mass {
                 if let Some(table) = &cell.table {
@@ -531,9 +528,12 @@ impl ProjectionGenerator {
     }
 
     /// Draws a point of `S` and projects it *without* the compensation step —
-    /// the biased baseline of Figure 1, exposed for the experiments.
-    pub fn sample_uncorrected<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<f64> {
-        self.project(&self.sampler.sample(rng))
+    /// the biased baseline of Figure 1, exposed for the experiments. The
+    /// walk runs on the generator's scratch, outside any query budget.
+    pub fn sample_uncorrected<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Vec<f64> {
+        self.scratch.disarm_budget();
+        let x = self.sampler.sample_with(rng, &mut self.scratch);
+        self.project(&x)
     }
 
     /// Estimates the volume (in dimension `|I|`) of the projection `T`.
@@ -757,6 +757,10 @@ mod tests {
         // Acceptance is the occupied fraction of the bounding box — far
         // from the ~1e-2 of the rejection loop on this shape.
         assert!(gen.acceptance_rate() > 0.5, "{}", gen.acceptance_rate());
+        // The cascade keeps its fine tables, so it never writes a cell into
+        // the memo.
+        assert!(gen.weight_cache().is_empty());
+        assert_eq!(gen.weight_cache().misses(), 0, "a fill probed the memo");
     }
 
     #[test]
@@ -883,8 +887,11 @@ mod tests {
         use cdb_constraint::Atom;
         let halfplane = GeneralizedTuple::new(2, vec![Atom::le_from_ints(&[1, 0], 0)]);
         assert!(ProjectionGenerator::new(&halfplane, &[0], params(), &mut rng).is_err());
-        // An invalid estimator budget is rejected by `new_with`.
-        let bad = ProjectionParams::new(params()).with_estimator_budget(2.0, 0.1);
+        // Invalid base parameters are rejected by `new_with`.
+        let bad = ProjectionParams::new(GeneratorParams {
+            eps: 2.0,
+            ..params()
+        });
         assert!(ProjectionGenerator::new_with(&square, &[0], bad, &mut rng).is_err());
     }
 }

@@ -24,23 +24,22 @@ use cdb_linalg::{AffineMap, Matrix};
 
 use cdb_geometry::ball::ball_volume;
 
-use crate::batch;
 use crate::oracle::ConvexBody;
-use crate::params::{GeneratorParams, SeedSequence};
+use crate::params::{GeneratorParams, RelationGenerator, RelationVolumeEstimator};
 use crate::walk::{walk, WalkKind, WalkScratch};
-
-thread_local! {
-    /// Fallback workspace for the scratch-less convenience entry points
-    /// ([`DfkSampler::sample`], [`DfkSampler::estimate_volume`]): one lazily
-    /// grown [`WalkScratch`] per thread, so even ad-hoc callers hit the
-    /// zero-allocation walk path in steady state.
-    static THREAD_SCRATCH: std::cell::RefCell<WalkScratch> =
-        std::cell::RefCell::new(WalkScratch::new());
-}
 
 /// Almost-uniform generator and volume estimator for one well-bounded convex
 /// body (the building block every composed generator of Section 4 rests on).
-#[derive(Clone, Debug)]
+///
+/// **Attach.** Like every generator of the crate, a sampler is a prepared
+/// body (the rounded body and its map back) plus a per-query
+/// [`WalkScratch`]. [`Clone`] is the attach: the copy starts an empty
+/// scratch (every walk rebinds the scratch from the body's center, so no
+/// draw depends on what a scratch held before). Sampling and volume
+/// estimation go through [`RelationGenerator`] and
+/// [`RelationVolumeEstimator`], whose batch entry points fan the draws out
+/// over attached copies.
+#[derive(Debug)]
 pub struct DfkSampler {
     /// The body in its original coordinates.
     original: ConvexBody,
@@ -50,6 +49,20 @@ pub struct DfkSampler {
     /// Map from rounded coordinates back to original coordinates.
     to_original: AffineMap,
     params: GeneratorParams,
+    /// Per-query walk workspace, reused across every draw of this copy.
+    scratch: WalkScratch,
+}
+
+impl Clone for DfkSampler {
+    fn clone(&self) -> Self {
+        DfkSampler {
+            original: self.original.clone(),
+            rounded: self.rounded.clone(),
+            to_original: self.to_original.clone(),
+            params: self.params,
+            scratch: WalkScratch::new(),
+        }
+    }
 }
 
 impl DfkSampler {
@@ -58,28 +71,19 @@ impl DfkSampler {
     pub fn new<R: Rng + ?Sized>(body: ConvexBody, params: GeneratorParams, rng: &mut R) -> Self {
         params.validate().expect("invalid generator parameters");
         let d = body.dim();
-        let identity = AffineMap::identity(d);
-        if !params.rounding || body.aspect_ratio() < 3.0 || d < 2 {
-            return DfkSampler {
-                rounded: body.clone(),
-                original: body,
-                to_original: identity,
-                params,
-            };
-        }
-        match Self::round(&body, &params, rng) {
-            Some((rounded, to_original)) => DfkSampler {
-                original: body,
-                rounded,
-                to_original,
-                params,
-            },
-            None => DfkSampler {
-                rounded: body.clone(),
-                original: body,
-                to_original: identity,
-                params,
-            },
+        let rounding = if !params.rounding || body.aspect_ratio() < 3.0 || d < 2 {
+            None
+        } else {
+            Self::round(&body, &params, rng)
+        };
+        let (rounded, to_original) =
+            rounding.unwrap_or_else(|| (body.clone(), AffineMap::identity(d)));
+        DfkSampler {
+            original: body,
+            rounded,
+            to_original,
+            params,
+            scratch: WalkScratch::new(),
         }
     }
 
@@ -129,11 +133,6 @@ impl DfkSampler {
         Some((rounded, to_original))
     }
 
-    /// Dimension of the body.
-    pub fn dim(&self) -> usize {
-        self.original.dim()
-    }
-
     /// The body being sampled (original coordinates).
     pub fn body(&self) -> &ConvexBody {
         &self.original
@@ -150,9 +149,14 @@ impl DfkSampler {
     }
 
     /// Draws one almost-uniform point from the body (original coordinates),
-    /// running the chain in the caller's [`WalkScratch`] — the allocation-free
-    /// entry point used by the composed generators and the batch workers.
-    pub fn sample_with<R: Rng + ?Sized>(&self, rng: &mut R, scratch: &mut WalkScratch) -> Vec<f64> {
+    /// running the chain in the caller's [`WalkScratch`] — the
+    /// allocation-free entry point of the composed generators, which walk
+    /// many component samplers on one scratch.
+    pub(crate) fn sample_with<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        scratch: &mut WalkScratch,
+    ) -> Vec<f64> {
         let steps = self.params.walk_steps(self.dim());
         let y = walk(
             &self.rounded,
@@ -165,35 +169,11 @@ impl DfkSampler {
         self.to_original.apply(&y).into_vec()
     }
 
-    /// Draws one almost-uniform point from the body (original coordinates).
-    ///
-    /// Convenience wrapper around [`DfkSampler::sample_with`] that reuses a
-    /// thread-local scratch, so repeated calls stay on the zero-allocation
-    /// walk path without the caller managing a workspace.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<f64> {
-        THREAD_SCRATCH.with(|cell| self.sample_with(rng, &mut cell.borrow_mut()))
-    }
-
-    /// Draws `n` points. One draw from `rng` seeds a [`SeedSequence`] whose
-    /// child streams fund the chains, fanned out over all available cores by
-    /// the [`batch`] module — deterministic given the state of `rng`.
-    pub fn sample_many<R: Rng + ?Sized>(&self, n: usize, rng: &mut R) -> Vec<Vec<f64>> {
-        self.sample_batch(n, &SeedSequence::new(rng.next_u64()), 0)
-    }
-
-    /// Draws `n` points, chain `i` funded by child stream `i + 1` of `seq`
-    /// and the chains split across up to `threads` workers (`0` = inline
-    /// until the work pays for threads, see [`batch::fan_out_contained`]).
-    /// Bitwise identical output for any thread count.
-    pub fn sample_batch(&self, n: usize, seq: &SeedSequence, threads: usize) -> Vec<Vec<f64>> {
-        batch::fan_out(n, threads, WalkScratch::new, |scratch, i| {
-            self.sample_with(&mut seq.item_stream(i).rng(), scratch)
-        })
-    }
-
-    /// Estimates the volume of the body with the telescoping scheme; the
-    /// result approximates the true volume with ratio `1 + ε` with
-    /// probability at least `1 − δ` for sufficiently long walks.
+    /// Estimates the volume of the body with the telescoping scheme, running
+    /// its chains in the caller's [`WalkScratch`] (one buffer resize per
+    /// telescoping phase, no per-step allocations). The result approximates
+    /// the true volume with ratio `1 + ε` with probability at least `1 − δ`
+    /// for sufficiently long walks.
     ///
     /// **Exact-certificate shortcut.** When the certificate is tight
     /// (`r_inf == r_sup`), the body *is* the ball `B(center, r_inf)` —
@@ -205,14 +185,7 @@ impl DfkSampler {
     /// certificate leaves a gap (see `telescoping_path_is_exercised_by_a_
     /// loose_certificate` below, and the loose certificates now used by the
     /// E2 bench).
-    pub fn estimate_volume<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        THREAD_SCRATCH.with(|cell| self.estimate_volume_with(rng, &mut cell.borrow_mut()))
-    }
-
-    /// [`DfkSampler::estimate_volume`] running its telescoping chains in the
-    /// caller's [`WalkScratch`] (one buffer resize per telescoping phase, no
-    /// per-step allocations).
-    pub fn estimate_volume_with<R: Rng + ?Sized>(
+    pub(crate) fn estimate_volume_with<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
         scratch: &mut WalkScratch,
@@ -262,46 +235,39 @@ impl DfkSampler {
         }
         volume * self.to_original.det_abs()
     }
+}
 
-    /// Median of `repeats` volume estimates — the classical trick to turn an
-    /// `(ε, 1/4)`-estimator into an `(ε, δ)`-estimator with `O(ln 1/δ)`
-    /// repetitions. One draw from `rng` seeds a [`SeedSequence`] and the
-    /// repeats run in parallel through [`DfkSampler::estimate_volume_batch`].
-    pub fn estimate_volume_median<R: Rng + ?Sized>(&self, repeats: usize, rng: &mut R) -> f64 {
-        self.estimate_volume_median_batch(repeats, &SeedSequence::new(rng.next_u64()), 0)
+impl RelationGenerator for DfkSampler {
+    fn dim(&self) -> usize {
+        self.original.dim()
     }
 
-    /// Runs `repeats` independent telescoping estimates, repeat `i` funded by
-    /// child stream `i + 1` of `seq`, split across up to `threads` workers
-    /// (`0` = inline until the work pays for threads). Bitwise identical
-    /// output for any thread count.
-    pub fn estimate_volume_batch(
-        &self,
-        repeats: usize,
-        seq: &SeedSequence,
-        threads: usize,
-    ) -> Vec<f64> {
-        batch::fan_out(repeats, threads, WalkScratch::new, |scratch, i| {
-            self.estimate_volume_with(&mut seq.item_stream(i).rng(), scratch)
-        })
+    /// Draws one almost-uniform point on the sampler's own scratch; never
+    /// fails.
+    fn sample<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Option<Vec<f64>> {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let x = self.sample_with(rng, &mut scratch);
+        self.scratch = scratch;
+        Some(x)
     }
+}
 
-    /// Median of [`DfkSampler::estimate_volume_batch`].
-    pub fn estimate_volume_median_batch(
-        &self,
-        repeats: usize,
-        seq: &SeedSequence,
-        threads: usize,
-    ) -> f64 {
-        let mut estimates = self.estimate_volume_batch(repeats.max(1), seq, threads);
-        estimates.sort_by(|a, b| a.partial_cmp(b).expect("volume estimates are finite"));
-        estimates[estimates.len() / 2]
+impl RelationVolumeEstimator for DfkSampler {
+    /// One telescoping estimate on the sampler's own scratch (see
+    /// `estimate_volume_with` for the exact-certificate shortcut); never
+    /// fails.
+    fn estimate_volume<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Option<f64> {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let v = self.estimate_volume_with(rng, &mut scratch);
+        self.scratch = scratch;
+        Some(v)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::SeedSequence;
     use cdb_geometry::HPolytope;
     use rand::rngs::StdRng;
     use rand::{RngCore, SeedableRng};
@@ -312,12 +278,25 @@ mod tests {
         DfkSampler::new(body, GeneratorParams::fast(), &mut rng)
     }
 
+    /// `n` points from a seed sequence rooted at one draw of `rng`.
+    fn batch(s: &mut DfkSampler, n: usize, rng: &mut StdRng) -> Vec<Vec<f64>> {
+        let seq = SeedSequence::new(rng.next_u64());
+        s.sample_batch(n, &seq, 0).into_iter().flatten().collect()
+    }
+
+    /// Median of `repeats` estimates from a seed sequence rooted at one draw
+    /// of `rng`.
+    fn median(s: &mut DfkSampler, repeats: usize, rng: &mut StdRng) -> f64 {
+        let seq = SeedSequence::new(rng.next_u64());
+        s.estimate_volume_median(repeats, &seq, 0).unwrap()
+    }
+
     #[test]
     fn samples_stay_inside() {
         let square = HPolytope::axis_box(&[0.0, 0.0], &[1.0, 1.0]);
-        let s = sampler_for(&square, 1);
+        let mut s = sampler_for(&square, 1);
         let mut rng = StdRng::seed_from_u64(2);
-        for p in s.sample_many(100, &mut rng) {
+        for p in batch(&mut s, 100, &mut rng) {
             assert!(square.contains_slice(&p, 1e-9), "escaped: {p:?}");
         }
     }
@@ -325,27 +304,27 @@ mod tests {
     #[test]
     fn square_volume_estimate() {
         let square = HPolytope::axis_box(&[0.0, 0.0], &[1.0, 1.0]);
-        let s = sampler_for(&square, 3);
+        let mut s = sampler_for(&square, 3);
         let mut rng = StdRng::seed_from_u64(4);
-        let v = s.estimate_volume_median(3, &mut rng);
+        let v = median(&mut s, 3, &mut rng);
         assert!((v - 1.0).abs() < 0.35, "estimated {v}");
     }
 
     #[test]
     fn triangle_volume_estimate() {
         let tri = HPolytope::standard_simplex(2);
-        let s = sampler_for(&tri, 5);
+        let mut s = sampler_for(&tri, 5);
         let mut rng = StdRng::seed_from_u64(6);
-        let v = s.estimate_volume_median(3, &mut rng);
+        let v = median(&mut s, 3, &mut rng);
         assert!((v - 0.5).abs() < 0.2, "estimated {v}");
     }
 
     #[test]
     fn three_dimensional_box_volume() {
         let b = HPolytope::axis_box(&[0.0, 0.0, 0.0], &[1.0, 2.0, 0.5]);
-        let s = sampler_for(&b, 7);
+        let mut s = sampler_for(&b, 7);
         let mut rng = StdRng::seed_from_u64(8);
-        let v = s.estimate_volume_median(3, &mut rng);
+        let v = median(&mut s, 3, &mut rng);
         assert!((v - 1.0).abs() < 0.45, "estimated {v}");
     }
 
@@ -360,15 +339,15 @@ mod tests {
             rounding: true,
             ..GeneratorParams::fast()
         };
-        let s = DfkSampler::new(body, params, &mut rng);
+        let mut s = DfkSampler::new(body, params, &mut rng);
         assert!(s.is_rounded());
         // Samples are still inside, and the volume estimate accounts for the
         // determinant of the rounding map.
         let mut rng2 = StdRng::seed_from_u64(10);
-        for p in s.sample_many(50, &mut rng2) {
+        for p in batch(&mut s, 50, &mut rng2) {
             assert!(long.contains_slice(&p, 1e-6));
         }
-        let v = s.estimate_volume_median(5, &mut rng2);
+        let v = median(&mut s, 5, &mut rng2);
         // The elongated case is the hardest for short walks; require the
         // right order of magnitude (the determinant of the rounding map is
         // accounted for) rather than a tight relative error.
@@ -389,7 +368,7 @@ mod tests {
         let ball = Ellipsoid::ball(Vector::zeros(d), 1.0).unwrap();
         let body = ConvexBody::from_oracle(Arc::new(ball), Vector::zeros(d), 1.0, 1.0);
         let mut rng = StdRng::seed_from_u64(13);
-        let s = DfkSampler::new(
+        let mut s = DfkSampler::new(
             body,
             GeneratorParams {
                 rounding: false,
@@ -398,7 +377,7 @@ mod tests {
             &mut rng,
         );
         let before = rng.clone().next_u64();
-        let v = s.estimate_volume(&mut rng);
+        let v = s.estimate_volume(&mut rng).unwrap();
         assert_eq!(v, unit_ball_volume(d), "shortcut must be exact");
         assert_eq!(rng.next_u64(), before, "shortcut must not consume the rng");
     }
@@ -418,7 +397,7 @@ mod tests {
         let ball = Ellipsoid::ball(Vector::zeros(d), 1.0).unwrap();
         let body = ConvexBody::from_oracle(Arc::new(ball), Vector::zeros(d), 0.8, 1.25);
         let mut rng = StdRng::seed_from_u64(14);
-        let s = DfkSampler::new(
+        let mut s = DfkSampler::new(
             body,
             GeneratorParams {
                 rounding: false,
@@ -426,11 +405,13 @@ mod tests {
             },
             &mut rng,
         );
-        let a = s.estimate_volume(&mut StdRng::seed_from_u64(15));
-        let b = s.estimate_volume(&mut StdRng::seed_from_u64(16));
+        let a = s.estimate_volume(&mut StdRng::seed_from_u64(15)).unwrap();
+        let b = s.estimate_volume(&mut StdRng::seed_from_u64(16)).unwrap();
         assert_ne!(a, exact, "telescoping estimates are not closed-form");
         assert_ne!(a, b, "telescoping estimates vary across seeds");
-        let v = s.estimate_volume_median_batch(5, &SeedSequence::new(17), 0);
+        let v = s
+            .estimate_volume_median(5, &SeedSequence::new(17), 0)
+            .unwrap();
         assert!(
             (v - exact).abs() / exact < 0.35,
             "estimated {v} vs exact {exact}"
@@ -440,9 +421,9 @@ mod tests {
     #[test]
     fn samples_cover_both_halves() {
         let square = HPolytope::axis_box(&[0.0, 0.0], &[1.0, 1.0]);
-        let s = sampler_for(&square, 11);
+        let mut s = sampler_for(&square, 11);
         let mut rng = StdRng::seed_from_u64(12);
-        let pts = s.sample_many(300, &mut rng);
+        let pts = batch(&mut s, 300, &mut rng);
         let left = pts.iter().filter(|p| p[0] < 0.5).count();
         let frac = left as f64 / pts.len() as f64;
         assert!((frac - 0.5).abs() < 0.12, "left fraction {frac}");

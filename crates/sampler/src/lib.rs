@@ -91,7 +91,9 @@ pub use dfk::DfkSampler;
 pub use faults::FaultPlan;
 pub use fixed_dim::FixedDimSampler;
 pub use oracle::{ConvexBody, MembershipOracle};
-pub use params::{GeneratorParams, RelationGenerator, RelationVolumeEstimator, SeedSequence};
+pub use params::{
+    median, GeneratorParams, RelationGenerator, RelationVolumeEstimator, SeedSequence,
+};
 pub use prepared::{PreparedStore, PreparedStoreStats, DEFAULT_PREPARED_STORE_CAPACITY};
 pub use rejection::RejectionSampler;
 pub use walk::{WalkKind, WalkScratch};

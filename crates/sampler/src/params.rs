@@ -320,17 +320,24 @@ pub trait RelationVolumeEstimator {
     where
         Self: Clone + Send + Sync,
     {
-        let mut estimates: Vec<f64> = self
-            .estimate_volume_batch(repeats.max(1), seq, threads)
-            .into_iter()
-            .flatten()
-            .collect();
-        if estimates.is_empty() {
-            return None;
-        }
-        estimates.sort_by(|a, b| a.partial_cmp(b).expect("volume estimates are finite"));
-        Some(estimates[estimates.len() / 2])
+        median(
+            self.estimate_volume_batch(repeats.max(1), seq, threads)
+                .into_iter()
+                .flatten(),
+        )
     }
+}
+
+/// Upper median of the values by `partial_cmp` (the element at index
+/// `len / 2` once sorted; all volume estimates are finite); `None` for no
+/// values.
+pub fn median(values: impl IntoIterator<Item = f64>) -> Option<f64> {
+    let mut v: Vec<f64> = values.into_iter().collect();
+    if v.is_empty() {
+        return None;
+    }
+    v.sort_by(|a, b| a.partial_cmp(b).expect("volume estimates are finite"));
+    Some(v[v.len() / 2])
 }
 
 #[cfg(test)]

@@ -17,7 +17,9 @@ use std::cell::Cell;
 use cdb_constraint::{CompiledRelation, GeneralizedRelation};
 use cdb_geometry::HPolytope;
 use cdb_sampler::walk::{ball_walk_step, hit_and_run_step, WalkScratch};
-use cdb_sampler::{ConvexBody, GeneratorParams, RelationGenerator, SeedSequence, UnionGenerator};
+use cdb_sampler::{
+    ConvexBody, DfkSampler, GeneratorParams, RelationGenerator, SeedSequence, UnionGenerator,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -73,6 +75,7 @@ fn walk_steps_are_allocation_free() {
     hit_and_run_scenario();
     ball_walk_scenario();
     telescoping_ball_intersection_scenario();
+    dfk_sampler_scenario();
 }
 
 fn hit_and_run_scenario() {
@@ -144,6 +147,31 @@ fn telescoping_ball_intersection_scenario() {
         }
     });
     assert_eq!(allocs, 0, "ball-intersection walk allocated {allocs} times");
+}
+
+fn dfk_sampler_scenario() {
+    // A warmed-up sampler walks on its own scratch: one draw allocates its
+    // returned point and nothing per step, so an eight times longer walk
+    // allocates exactly as often.
+    let polytope = HPolytope::hypercube(6, 1.0);
+    let draw_cost = |walk_steps_factor: usize| {
+        let body = ConvexBody::from_polytope(&polytope).expect("hypercube is well-bounded");
+        let params = GeneratorParams {
+            walk_steps_factor,
+            ..GeneratorParams::fast()
+        };
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut sampler = DfkSampler::new(body, params, &mut rng);
+        assert!(sampler.sample(&mut rng).is_some(), "warm-up draw failed");
+        let (allocs, point) = allocations_during(|| sampler.sample(&mut rng));
+        assert!(point.is_some());
+        allocs
+    };
+    let (short, long) = (draw_cost(8), draw_cost(64));
+    assert_eq!(
+        short, long,
+        "a DFK draw allocates per walk step: {short} allocations at 48 steps, {long} at 384"
+    );
 }
 
 /// `m` disjoint unit squares in a row: an `m`-tuple union.

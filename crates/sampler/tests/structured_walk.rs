@@ -16,7 +16,9 @@
 
 use cdb_geometry::HPolytope;
 use cdb_sampler::walk::{random_direction, walk, WalkScratch};
-use cdb_sampler::{ConvexBody, DfkSampler, GeneratorParams, MembershipOracle, WalkKind};
+use cdb_sampler::{
+    ConvexBody, DfkSampler, GeneratorParams, MembershipOracle, RelationGenerator, WalkKind,
+};
 use cdb_workloads::structured;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -197,14 +199,14 @@ proptest! {
 
         let params = GeneratorParams::fast();
         let mut rng = StdRng::seed_from_u64(walk_seed);
-        let sampler_s = DfkSampler::new(body_s, params, &mut rng);
+        let mut sampler_s = DfkSampler::new(body_s, params, &mut rng);
         let mut rng = StdRng::seed_from_u64(walk_seed);
-        let sampler_d = DfkSampler::new(body_d, params, &mut rng);
+        let mut sampler_d = DfkSampler::new(body_d, params, &mut rng);
         let mut rng_s = StdRng::seed_from_u64(walk_seed ^ 0x5eed);
         let mut rng_d = StdRng::seed_from_u64(walk_seed ^ 0x5eed);
         for _ in 0..3 {
-            let xs = sampler_s.sample(&mut rng_s);
-            let xd = sampler_d.sample(&mut rng_d);
+            let xs = sampler_s.sample(&mut rng_s).expect("DFK never fails");
+            let xd = sampler_d.sample(&mut rng_d).expect("DFK never fails");
             for (s, d) in xs.iter().zip(&xd) {
                 prop_assert_eq!(s.to_bits(), d.to_bits(), "sample diverged: {} vs {}", s, d);
             }

@@ -41,8 +41,10 @@ fn main() {
         // fanned out in parallel through the batch layer; the result is
         // identical for any thread count.
         let t0 = Instant::now();
-        let dfk = DfkSampler::new(body.clone(), GeneratorParams::default(), &mut rng);
-        let dfk_estimate = dfk.estimate_volume_median_batch(3, &SeedSequence::new(d as u64), 0);
+        let mut dfk = DfkSampler::new(body.clone(), GeneratorParams::default(), &mut rng);
+        let dfk_estimate = dfk
+            .estimate_volume_median(3, &SeedSequence::new(d as u64), 0)
+            .expect("DFK estimates never fail");
         let dfk_time = t0.elapsed();
 
         // Naive bounding-box rejection.

@@ -223,7 +223,7 @@ fn dfk_sampler_batches_are_thread_count_invariant() {
     let square = cdb_geometry::HPolytope::axis_box(&[0.0, 0.0], &[1.0, 1.0]);
     let body = ConvexBody::from_polytope(&square).unwrap();
     let mut rng = SeedSequence::new(21).setup_stream().rng();
-    let sampler = DfkSampler::new(body, params(), &mut rng);
+    let mut sampler = DfkSampler::new(body, params(), &mut rng);
     let seq = SeedSequence::new(0xBEEF);
     let baseline_pts = sampler.sample_batch(128, &seq, 1);
     let baseline_vols = sampler.estimate_volume_batch(8, &seq, 1);
@@ -235,8 +235,8 @@ fn dfk_sampler_batches_are_thread_count_invariant() {
         );
     }
     assert_eq!(
-        sampler.estimate_volume_median_batch(8, &seq, 1),
-        sampler.estimate_volume_median_batch(8, &seq, 8)
+        sampler.estimate_volume_median(8, &seq, 1),
+        sampler.estimate_volume_median(8, &seq, 8)
     );
 }
 
@@ -248,10 +248,10 @@ fn distinct_child_streams_never_duplicate_points() {
     let square = cdb_geometry::HPolytope::axis_box(&[0.0, 0.0], &[1.0, 1.0]);
     let body = ConvexBody::from_polytope(&square).unwrap();
     let mut rng = SeedSequence::new(31).setup_stream().rng();
-    let sampler = DfkSampler::new(body, params(), &mut rng);
+    let mut sampler = DfkSampler::new(body, params(), &mut rng);
     let pts = sampler.sample_batch(512, &SeedSequence::new(0xDEAD), 8);
     let mut seen = std::collections::HashSet::new();
-    for p in &pts {
+    for p in pts.iter().flatten() {
         let bits: Vec<u64> = p.iter().map(|x| x.to_bits()).collect();
         assert!(seen.insert(bits), "duplicated point across workers: {p:?}");
     }
@@ -432,8 +432,6 @@ fn projection_store_states_are_invisible() {
 
 #[test]
 fn dfk_sampler_store_states_are_invisible() {
-    // The fifth family has inherent `&self` batch methods, so stored bodies
-    // are sampled straight through the `Arc` — no attach clone needed.
     use cdb_sampler::PreparedStore;
     let square = cdb_geometry::HPolytope::axis_box(&[0.0, 0.0], &[1.0, 1.0]);
     let body = ConvexBody::from_polytope(&square).unwrap();
@@ -451,7 +449,8 @@ fn dfk_sampler_store_states_are_invisible() {
             let store = PreparedStore::<u64, DfkSampler>::new(capacity);
             let first = store.get_or_prepare(&key, &build);
             let second = store.get_or_prepare(&key, &build);
-            for sampler in [&first, &second] {
+            for stored in [&first, &second] {
+                let mut sampler = (**stored).clone();
                 assert_eq!(
                     baseline,
                     sampler.sample_batch(STORE_BATCH, &seq, threads),

@@ -10,7 +10,8 @@
 //!
 //! Two kinds of gates, for all five generators (`DfkSampler`,
 //! `UnionGenerator`, `IntersectionGenerator`, `DifferenceGenerator`,
-//! `ProjectionGenerator`):
+//! `ProjectionGenerator`), each driven through the same
+//! `RelationGenerator`/`RelationVolumeEstimator` batch entry points:
 //!
 //! * **uniformity** — chi-square statistics of sampled marginals against the
 //!   uniform histogram, gated by the loose 0.999-quantile bound of
@@ -90,8 +91,8 @@ fn dfk_sampler_uniformity_gate() {
     let square = cdb_geometry::HPolytope::axis_box(&[0.0, 0.0], &[1.0, 1.0]);
     let body = ConvexBody::from_polytope(&square).unwrap();
     let mut rng = SeedSequence::new(1001).setup_stream().rng();
-    let sampler = DfkSampler::new(body, params(), &mut rng);
-    let pts = sampler.sample_batch(4000, &SeedSequence::new(1002), 0);
+    let mut sampler = DfkSampler::new(body, params(), &mut rng);
+    let pts = successes(sampler.sample_batch(4000, &SeedSequence::new(1002), 0));
     for p in &pts {
         assert!(square.contains_slice(p, 1e-9));
     }
@@ -111,9 +112,10 @@ fn dfk_volume_eps_delta_gates_on_closed_forms() {
             let tuple = &relation.tuples()[0];
             let body = ConvexBody::from_tuple(tuple).unwrap();
             let mut rng = SeedSequence::new(2000 + d as u64).setup_stream().rng();
-            let sampler = DfkSampler::new(body, params(), &mut rng);
-            let est =
-                sampler.estimate_volume_median_batch(5, &SeedSequence::new(2100 + d as u64), 0);
+            let mut sampler = DfkSampler::new(body, params(), &mut rng);
+            let est = sampler
+                .estimate_volume_median(5, &SeedSequence::new(2100 + d as u64), 0)
+                .unwrap();
             let err = relative_error(est, exact);
             assert!(
                 err < 0.30,
@@ -137,8 +139,10 @@ fn dfk_volume_gate_on_an_oracle_backed_ball() {
     let ball = PolyBody::ball(&[0.0; 3], 1.0);
     let body = ConvexBody::from_oracle(Arc::new(ball), Vector::zeros(d), 0.8, 1.3);
     let mut rng = SeedSequence::new(3001).setup_stream().rng();
-    let sampler = DfkSampler::new(body, params(), &mut rng);
-    let est = sampler.estimate_volume_median_batch(5, &SeedSequence::new(3002), 0);
+    let mut sampler = DfkSampler::new(body, params(), &mut rng);
+    let est = sampler
+        .estimate_volume_median(5, &SeedSequence::new(3002), 0)
+        .unwrap();
     let err = relative_error(est, exact);
     assert!(
         err < 0.30,
@@ -677,8 +681,10 @@ fn degenerate_needle_box_passes_uniformity_and_volume_gates_through_rounding() {
     let tuple = &body.relation.tuples()[0];
     let convex = ConvexBody::from_tuple(tuple).unwrap();
     let mut rng = SeedSequence::new(9002).setup_stream().rng();
-    let sampler = DfkSampler::new(convex, rounding_params(), &mut rng);
-    let est = sampler.estimate_volume_median_batch(9, &SeedSequence::new(9005), 0);
+    let mut sampler = DfkSampler::new(convex, rounding_params(), &mut rng);
+    let est = sampler
+        .estimate_volume_median(9, &SeedSequence::new(9005), 0)
+        .unwrap();
     let err = relative_error(est, body.exact_volume);
     assert!(
         err < 0.30,
@@ -720,8 +726,10 @@ fn degenerate_thin_simplex_passes_the_volume_gate_through_rounding() {
     let tuple = &body.relation.tuples()[0];
     let convex = ConvexBody::from_tuple(tuple).unwrap();
     let mut rng = SeedSequence::new(9004).setup_stream().rng();
-    let sampler = DfkSampler::new(convex, rounding_params(), &mut rng);
-    let est = sampler.estimate_volume_median_batch(9, &SeedSequence::new(9006), 0);
+    let mut sampler = DfkSampler::new(convex, rounding_params(), &mut rng);
+    let est = sampler
+        .estimate_volume_median(9, &SeedSequence::new(9006), 0)
+        .unwrap();
     let err = relative_error(est, body.exact_volume);
     assert!(
         err < 0.30,
